@@ -121,8 +121,9 @@ explore(const sim::Config &cfg)
     }
     else
     {
+        CanonicalScratch canon;
         std::unordered_set<Hash128, Hash128Hasher> visited;
-        visited.insert(hashKey(canonicalKey(root)));
+        visited.insert(canonicalHash(root, canon));
         stats.statesVisited = 1;
 
         struct Frame
@@ -180,18 +181,19 @@ explore(const sim::Config &cfg)
                     break;
                 continue;
             }
-            if (!visited.insert(hashKey(canonicalKey(out.state)))
-                     .second)
+            if (!visited.insert(canonicalHash(out.state, canon)).second)
             {
                 ++stats.deduped;
                 continue;
             }
-            ++stats.statesVisited;
+            // Only a unique state beyond the cap truncates: a space of
+            // exactly maxStates states still closes.
             if (stats.statesVisited >= maxStates)
             {
                 capped = true;
                 break;
             }
+            ++stats.statesVisited;
             const std::uint64_t depth = stack.size();
             stats.maxDepth = std::max(stats.maxDepth, depth);
             if (depth >= maxDepth ||

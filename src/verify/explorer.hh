@@ -8,7 +8,9 @@
  * The state space is finite by construction (bounded op budgets,
  * bounded message multisets, canonicalized dedup) but caps guard
  * against blowup anyway:
- *  - verify.max_states (1000000): unique states before giving up
+ *  - verify.max_states (1000000): unique states to visit; finding
+ *    one more stops the search (a space of exactly this many states
+ *    still closes)
  *  - verify.max_depth (64): DFS depth; deeper states are not expanded
  *  - verify.max_epochs (3): states at or past this domain epoch are
  *    not expanded (bounds rollover exploration)

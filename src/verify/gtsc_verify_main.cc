@@ -28,10 +28,14 @@
  *                       mutation) — the explorer must catch it
  *     --out FILE.json   machine-readable results (tools/
  *                       check_verify.py gates on this)
+ *
+ *   Exit 2 on a usage error or rejected input (e.g. verify.sms=9,
+ *   verify.max_states=abc); the reason goes to stderr.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -196,10 +200,8 @@ runReplay(const sim::Config &base, const std::string &specText,
     return rc;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bool explore = false;
     bool litmus = false;
@@ -253,7 +255,7 @@ main(int argc, char **argv)
             // 8-bit timestamps with a spin boost big enough that one
             // boosted store overflows: the whole epoch-reset protocol
             // (rewind, lazy adoption, normalization) is in scope, and
-            // the space still closes (~540k states, ~15s).
+            // the space still closes (541,108 states).
             cfg.setInt("gtsc.ts_bits", 8);
             cfg.setInt("gtsc.lease", 10);
             cfg.setInt("verify.boosts", 1);
@@ -289,4 +291,23 @@ main(int argc, char **argv)
     if (!replaySpec.empty())
         return runReplay(cfg, replaySpec, protocol);
     return usage();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad input (an out-of-range verify.* knob, a malformed number)
+    // surfaces as GTSC_FATAL's exception from config parsing or
+    // ModelSim: report it and exit like a usage error, not an abort.
+    try
+    {
+        return run(argc, argv);
+    }
+    catch (const std::exception &e)
+    {
+        std::fprintf(stderr, "gtsc_verify: %s\n", e.what());
+        return 2;
+    }
 }

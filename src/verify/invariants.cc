@@ -1,9 +1,7 @@
 #include "verify/invariants.hh"
 
-#include <map>
-#include <set>
+#include <ostream>
 #include <sstream>
-#include <utility>
 
 namespace gtsc::verify
 {
@@ -37,6 +35,31 @@ findLine(const std::vector<core::VerifyLineState> &lines, Addr addr)
     return nullptr;
 }
 
+/** The cache a line sits in; spelled out only in a violation. */
+struct Where
+{
+    int sm = -1; ///< the SM's L1, or -1 for the L2
+};
+
+std::ostream &
+operator<<(std::ostream &os, Where w)
+{
+    if (w.sm < 0)
+        return os << "L2";
+    return os << "L1[sm" << w.sm << "]";
+}
+
+/** Some L1 owns `addr` via an in-flight store. */
+bool
+storeLocked(const WorldState &w, Addr addr)
+{
+    for (const auto &l1 : w.l1)
+        for (const auto &[line, id] : l1.storeByLine)
+            if (line == addr)
+                return true;
+    return false;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -44,15 +67,7 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
 {
     std::vector<std::string> out;
 
-    // Lines any L1 currently owns via an in-flight store: exempt from
-    // the shared-data check (locally merged words precede the ack).
-    std::set<Addr> storeLocked;
-    for (const auto &l1 : w.l1)
-        for (const auto &[line, id] : l1.storeByLine)
-            storeLocked.insert(line);
-
-    auto checkLine = [&](const core::VerifyLineState &l,
-                         const std::string &where) {
+    auto checkLine = [&](const core::VerifyLineState &l, Where where) {
         if (l.meta.wts > l.meta.rts)
         {
             std::ostringstream oss;
@@ -73,7 +88,7 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
     for (std::size_t sm = 0; sm < w.l1.size(); ++sm)
     {
         const auto &l1 = w.l1[sm];
-        std::string where = "L1[sm" + std::to_string(sm) + "]";
+        const Where where{static_cast<int>(sm)};
         for (const auto &l : l1.lines)
         {
             checkLine(l, where);
@@ -191,9 +206,10 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
         {
             if (m.waiters.empty())
             {
-                violate(out, "MshrLive",
-                        where + " empty MSHR entry for line " +
-                            lineName(m.lineAddr));
+                std::ostringstream oss;
+                oss << where << " empty MSHR entry for line "
+                    << lineName(m.lineAddr);
+                violate(out, "MshrLive", oss.str());
             }
             if (!m.lockWait && m.outstanding == 0)
             {
@@ -207,7 +223,7 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
     }
 
     for (const auto &l : w.l2.lines)
-        checkLine(l, "L2");
+        checkLine(l, Where{});
     if (w.l2.memTs > p.tsMax)
     {
         std::ostringstream oss;
@@ -216,15 +232,32 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
         violate(out, "TsBound", oss.str());
     }
 
-    // Same version => same data, across every up-to-date cache.
-    std::map<std::pair<Addr, Ts>, const core::VerifyLineState *> seen;
-    auto checkCopy = [&](const core::VerifyLineState &l,
-                         const std::string &where) {
-        if (storeLocked.count(l.lineAddr))
+    // Same version => same data, across every up-to-date cache: each
+    // copy must match the first copy of its (line, wts), in L2-then-L1
+    // order. Lines an L1 owns via an in-flight store are exempt
+    // (locally merged words precede the ack).
+    auto upToDate = [&](std::size_t sm) {
+        return w.l1[sm].epoch == w.domain.epoch;
+    };
+    auto firstCopy = [&](const core::VerifyLineState &l) {
+        auto same = [&](const core::VerifyLineState &c) {
+            return c.lineAddr == l.lineAddr && c.meta.wts == l.meta.wts;
+        };
+        for (const auto &c : w.l2.lines)
+            if (same(c))
+                return &c;
+        for (std::size_t sm = 0; sm < w.l1.size(); ++sm)
+            if (upToDate(sm))
+                for (const auto &c : w.l1[sm].lines)
+                    if (same(c))
+                        return &c;
+        return &l;
+    };
+    auto checkCopy = [&](const core::VerifyLineState &l, Where where) {
+        if (storeLocked(w, l.lineAddr))
             return;
-        auto key = std::make_pair(l.lineAddr, l.meta.wts);
-        auto [it, inserted] = seen.emplace(key, &l);
-        if (!inserted && !(it->second->data == l.data))
+        const core::VerifyLineState *first = firstCopy(l);
+        if (first != &l && !(first->data == l.data))
         {
             std::ostringstream oss;
             oss << where << " line " << lineName(l.lineAddr)
@@ -235,13 +268,13 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
         }
     };
     for (const auto &l : w.l2.lines)
-        checkCopy(l, "L2");
+        checkCopy(l, Where{});
     for (std::size_t sm = 0; sm < w.l1.size(); ++sm)
     {
-        if (w.l1[sm].epoch != w.domain.epoch)
+        if (!upToDate(sm))
             continue;
         for (const auto &l : w.l1[sm].lines)
-            checkCopy(l, "L1[sm" + std::to_string(sm) + "]");
+            checkCopy(l, Where{static_cast<int>(sm)});
     }
 
     return out;

@@ -1,7 +1,6 @@
 #include "verify/state.hh"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 namespace gtsc::verify
@@ -41,8 +40,8 @@ Action::describe() const
 namespace
 {
 
-/** Byte-appending serializer. */
-struct Sink
+/** Byte sink: appends each field little-endian (canonicalKey). */
+struct ByteSink
 {
     std::string out;
 
@@ -67,28 +66,88 @@ struct Sink
     }
 };
 
-/**
- * Order-preserving dense renumbering of request ids. Relative id
- * order is behaviour (ack matching, replay sequencing); absolute
- * values are history.
- */
-struct IdMap
+constexpr std::uint64_t
+rotl(std::uint64_t x, int r)
 {
-    std::map<std::uint64_t, std::uint64_t> map;
+    return (x << r) | (x >> (64 - r));
+}
+
+/** MurmurHash3's 64-bit finalizer: a bijection with full avalanche. */
+constexpr std::uint64_t
+fmix64(std::uint64_t k)
+{
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    k ^= k >> 33;
+    return k;
+}
+
+/**
+ * Word sink (canonicalHash): every field, whatever its width, is one
+ * 64-bit word fed to two independent lanes — xor-rotate-multiply and
+ * add-rotate-multiply with different constants, each a bijection of
+ * the lane for a fixed word. The finish is a two-round Feistel over
+ * fmix64, so the 128-bit result is a bijection of the lane pair in
+ * which every output bit depends on every lane bit.
+ */
+class WordHasher
+{
+  public:
+    void u8(std::uint8_t v) { word(v); }
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
+
+    Hash128
+    finish() const
+    {
+        std::uint64_t a = fmix64(a_ ^ words_);
+        std::uint64_t b = fmix64(b_ + a);
+        a = fmix64(a + b);
+        return Hash128{a, b};
+    }
+
+  private:
+    void
+    word(std::uint64_t v)
+    {
+        a_ = rotl(a_ ^ v, 29) * 0x9e3779b97f4a7c15ULL;
+        b_ = rotl(b_ + v, 41) * 0xc2b2ae3d27d4eb4fULL;
+        ++words_;
+    }
+
+    std::uint64_t a_ = 0x6a09e667f3bcc908ULL;
+    std::uint64_t b_ = 0xbb67ae8584caa73bULL;
+    std::uint64_t words_ = 0;
+};
+
+/**
+ * Order-preserving dense renumbering of request ids over a sorted
+ * flat vector (the caller's scratch, cleared on construction): an
+ * id's dense value is its rank + 1. Relative id order is behaviour
+ * (ack matching, replay sequencing); absolute values are history.
+ */
+class IdMap
+{
+  public:
+    explicit IdMap(std::vector<std::uint64_t> &ids) : ids_(ids)
+    {
+        ids_.clear();
+    }
 
     void
     note(std::uint64_t id)
     {
         if (id)
-            map.emplace(id, 0);
+            ids_.push_back(id);
     }
 
     void
     seal()
     {
-        std::uint64_t next = 1;
-        for (auto &[id, dense] : map)
-            dense = next++;
+        std::sort(ids_.begin(), ids_.end());
+        ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
     }
 
     std::uint64_t
@@ -96,11 +155,17 @@ struct IdMap
     {
         if (!id)
             return 0;
-        auto it = map.find(id);
-        return it == map.end() ? id : it->second;
+        auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+        if (it == ids_.end() || *it != id)
+            return id;
+        return static_cast<std::uint64_t>(it - ids_.begin()) + 1;
     }
+
+  private:
+    std::vector<std::uint64_t> &ids_;
 };
 
+template <typename Sink>
 void
 putLine(Sink &s, const core::VerifyLineState &l)
 {
@@ -114,6 +179,7 @@ putLine(Sink &s, const core::VerifyLineState &l)
         s.u32(l.data.word(w));
 }
 
+template <typename Sink>
 void
 putAccess(Sink &s, const mem::Access &a, const IdMap &ids)
 {
@@ -131,6 +197,7 @@ putAccess(Sink &s, const mem::Access &a, const IdMap &ids)
     s.u8(a.replayed ? 1 : 0);
 }
 
+template <typename Sink>
 void
 putPacket(Sink &s, const mem::Packet &p, const IdMap &ids)
 {
@@ -154,27 +221,37 @@ putPacket(Sink &s, const mem::Packet &p, const IdMap &ids)
     s.u64(ids[p.reqId]);
 }
 
-/** Stable sort of held messages by source SM (see file comment). */
-std::vector<const mem::Packet *>
-canonicalOrder(const std::vector<mem::Packet> &pkts)
+/**
+ * Held messages stably sorted by source SM (see file comment),
+ * ordered through the reused index buffer `order`. Insertion sort:
+ * the lists are a handful of packets, and std::stable_sort would
+ * allocate a merge buffer.
+ */
+template <typename Sink>
+void
+putPackets(Sink &s, const std::vector<mem::Packet> &pkts,
+           const IdMap &ids, std::vector<std::uint32_t> &order)
 {
-    std::vector<const mem::Packet *> order;
-    order.reserve(pkts.size());
-    for (const auto &p : pkts)
-        order.push_back(&p);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const mem::Packet *a, const mem::Packet *b) {
-                         return a->src < b->src;
-                     });
-    return order;
+    order.clear();
+    for (std::uint32_t i = 0; i < pkts.size(); ++i)
+    {
+        std::size_t j = order.size();
+        order.push_back(i);
+        for (; j > 0 && pkts[order[j - 1]].src > pkts[i].src; --j)
+            order[j] = order[j - 1];
+        order[j] = i;
+    }
+    s.u32(static_cast<std::uint32_t>(pkts.size()));
+    for (std::uint32_t i : order)
+        putPacket(s, pkts[i], ids);
 }
 
-} // namespace
-
-std::string
-canonicalKey(const WorldState &w)
+/** The canonical field sequence, into a byte or a word sink. */
+template <typename Sink>
+void
+serialize(Sink &s, const WorldState &w, CanonicalScratch &scratch)
 {
-    IdMap ids;
+    IdMap ids(scratch.ids);
     for (const auto &l1 : w.l1)
     {
         for (const auto &ps : l1.pendingStores)
@@ -196,7 +273,6 @@ canonicalKey(const WorldState &w)
         ids.note(p.reqId);
     ids.seal();
 
-    Sink s;
     s.u32(static_cast<std::uint32_t>(w.l1.size()));
     for (const auto &l1 : w.l1)
     {
@@ -244,12 +320,8 @@ canonicalKey(const WorldState &w)
     s.u64(w.l2.memTs);
     s.u32(w.domain.epoch);
 
-    s.u32(static_cast<std::uint32_t>(w.reqs.size()));
-    for (const mem::Packet *p : canonicalOrder(w.reqs))
-        putPacket(s, *p, ids);
-    s.u32(static_cast<std::uint32_t>(w.resps.size()));
-    for (const mem::Packet *p : canonicalOrder(w.resps))
-        putPacket(s, *p, ids);
+    putPackets(s, w.reqs, ids, scratch.order);
+    putPackets(s, w.resps, ids, scratch.order);
 
     s.u32(static_cast<std::uint32_t>(w.threads.size()));
     for (const auto &t : w.threads)
@@ -277,24 +349,32 @@ canonicalKey(const WorldState &w)
             s.u32(v.value);
         }
     }
+}
+
+} // namespace
+
+std::string
+canonicalKey(const WorldState &w)
+{
+    CanonicalScratch scratch;
+    ByteSink s;
+    serialize(s, w, scratch);
     return std::move(s.out);
 }
 
 Hash128
-hashKey(const std::string &key)
+canonicalHash(const WorldState &w, CanonicalScratch &scratch)
 {
-    // Two independent mixes of the same byte stream: FNV-1a and a
-    // rotate-multiply accumulator. 128 bits keeps the visited set
-    // collision-free in practice without storing full keys.
-    std::uint64_t fnv = 0xcbf29ce484222325ULL;
-    std::uint64_t acc = 0x6a09e667f3bcc909ULL;
-    for (unsigned char c : key)
-    {
-        fnv = (fnv ^ c) * 0x100000001b3ULL;
-        acc ^= c;
-        acc = ((acc << 31) | (acc >> 33)) * 0x9e3779b97f4a7c15ULL;
-    }
-    return Hash128{fnv, acc};
+    WordHasher h;
+    serialize(h, w, scratch);
+    return h.finish();
+}
+
+Hash128
+canonicalHash(const WorldState &w)
+{
+    CanonicalScratch scratch;
+    return canonicalHash(w, scratch);
 }
 
 } // namespace gtsc::verify

@@ -85,11 +85,13 @@ struct WorldState
 /**
  * Canonical serialization of a world state (see file comment). Two
  * states with equal keys are behaviourally identical under the
- * harness's transition set.
+ * harness's transition set. The explorer dedups on canonicalHash();
+ * this byte string is the readable reference the tests compare
+ * against.
  */
 std::string canonicalKey(const WorldState &w);
 
-/** 128-bit hash of a canonical key (visited-set entry). */
+/** 128-bit canonical-state hash (visited-set entry). */
 struct Hash128
 {
     std::uint64_t lo = 0;
@@ -102,7 +104,29 @@ struct Hash128
     }
 };
 
-Hash128 hashKey(const std::string &key);
+/**
+ * Reusable working storage of the canonical serializer: the sorted
+ * request ids to renumber and the source-sorted order of the held
+ * packets being written. Keeping one across calls lets
+ * canonicalHash() run without heap allocation once the buffers have
+ * grown to the largest state seen.
+ */
+struct CanonicalScratch
+{
+    std::vector<std::uint64_t> ids;
+    std::vector<std::uint32_t> order;
+};
+
+/**
+ * Hash of the same field sequence canonicalKey() writes, each field
+ * fed as one 64-bit word into a two-lane 128-bit hasher: equal keys
+ * give equal hashes, and distinct keys collide with probability
+ * about 2^-128 per pair.
+ */
+Hash128 canonicalHash(const WorldState &w, CanonicalScratch &scratch);
+
+/** One-off canonicalHash() with its own scratch. */
+Hash128 canonicalHash(const WorldState &w);
 
 struct Hash128Hasher
 {

@@ -1,13 +1,15 @@
 /**
  * @file
  * The exhaustive explorer: smoke enumeration of a reduced space
- * (complete, clean, fast), determinism, mutation catching with a
- * minimized witness, and the 8-bit rollover sweep actually crossing
- * epoch resets.
+ * (complete, clean, fast) with its exact state/transition counts
+ * pinned, determinism, the state cap's boundary, mutation catching
+ * with a minimized witness, and the 8-bit rollover sweep actually
+ * crossing epoch resets.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "verify/explorer.hh"
@@ -23,6 +25,18 @@ smokeConfig()
 {
     sim::Config cfg;
     cfg.setInt("verify.ops_per_thread", 2);
+    return cfg;
+}
+
+/** Size of the 1-line smoke space (the canonical-state quotient). */
+constexpr std::uint64_t kSmokeStates = 17585;
+constexpr std::uint64_t kSmokeTransitions = 38950;
+
+sim::Config
+smokeOneLineConfig()
+{
+    sim::Config cfg = smokeConfig();
+    cfg.setInt("verify.lines", 1);
     return cfg;
 }
 
@@ -46,27 +60,51 @@ TEST(VerifyExplorer, SmokeEnumerationIsCompleteAndClean)
     // CTest smoke bound: a reduced space (1 line, 2 ops) enumerates
     // completely in a couple of seconds, orders of magnitude under
     // the 30s budget.
-    sim::Config cfg = smokeConfig();
-    cfg.setInt("verify.lines", 1);
-    auto result = explore(cfg);
+    auto result = explore(smokeOneLineConfig());
     for (const auto &w : result.witnesses)
         ADD_FAILURE() << w.report;
     EXPECT_TRUE(result.ok());
     EXPECT_TRUE(result.stats.complete);
-    EXPECT_GT(result.stats.statesVisited, 1000u);
     EXPECT_EQ(result.stats.truncated, 0u);
+    // The exact quotient: any change that merges or splits states
+    // moves these.
+    EXPECT_EQ(result.stats.statesVisited, kSmokeStates);
+    EXPECT_EQ(result.stats.transitions, kSmokeTransitions);
+    EXPECT_EQ(result.stats.deduped, 21366u);
+    EXPECT_EQ(result.stats.terminals, 475u);
+    EXPECT_EQ(result.stats.maxDepth, 20u);
 }
 
 TEST(VerifyExplorer, EnumerationIsDeterministic)
 {
-    sim::Config cfg = smokeConfig();
-    cfg.setInt("verify.lines", 1);
+    sim::Config cfg = smokeOneLineConfig();
     auto a = explore(cfg);
     auto b = explore(cfg);
     EXPECT_EQ(a.stats.statesVisited, b.stats.statesVisited);
     EXPECT_EQ(a.stats.transitions, b.stats.transitions);
     EXPECT_EQ(a.stats.deduped, b.stats.deduped);
     EXPECT_EQ(a.stats.terminals, b.stats.terminals);
+}
+
+TEST(VerifyExplorer, StateCapOfExactlyTheSpaceStillCloses)
+{
+    // The cap only trips on a unique state beyond it, so a space of
+    // exactly max_states states is complete with every transition
+    // checked.
+    sim::Config cfg = smokeOneLineConfig();
+    cfg.setInt("verify.max_states", kSmokeStates);
+    auto result = explore(cfg);
+    EXPECT_TRUE(result.ok());
+    EXPECT_TRUE(result.stats.complete);
+    EXPECT_EQ(result.stats.statesVisited, kSmokeStates);
+    EXPECT_EQ(result.stats.transitions, kSmokeTransitions);
+
+    cfg.setInt("verify.max_states", kSmokeStates - 1);
+    auto capped = explore(cfg);
+    EXPECT_TRUE(capped.ok());
+    EXPECT_FALSE(capped.stats.complete);
+    EXPECT_EQ(capped.stats.statesVisited, kSmokeStates - 1);
+    EXPECT_LT(capped.stats.transitions, kSmokeTransitions);
 }
 
 TEST(VerifyExplorer, StateCapTruncatesAndReportsIncomplete)
