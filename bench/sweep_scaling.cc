@@ -8,23 +8,18 @@
  * only measures elapsed time. A second section measures the hybrid
  * main loop (gpu.fast_forward) on memory-bound workloads: simulated
  * cycles per wall-clock second with the knob off and on, the skipped
- * cycle count, and the speedup. A third section measures intra-run
- * parallelism (gpu.shards): one 16-SM coherent workload run at
- * 1/2/4/8 shards, reporting wall-clock and speedup over the serial
- * loop (per-run results are bit-identical at every shard count;
- * tests/integration/shard_equivalence_test.cc pins that). Emits a
- * human table and a JSON blob, and writes the blob to
- * BENCH_sweep_scaling.json (override with --out PATH) — the schema
- * is documented in EXPERIMENTS.md.
+ * cycle count, and the speedup. Emits a human table and a JSON blob,
+ * and writes the blob to BENCH_sweep_scaling.json (override with
+ * --out PATH) — the schema is documented in EXPERIMENTS.md.
  *
- * A fourth section measures raw single-thread throughput: every cell
+ * A third section measures raw single-thread throughput: every cell
  * of the fig12 matrix (4 workloads x 4 protocol columns) is run
  * serially with default knobs and the per-cell and geomean simulated
  * Mcycles per wall-clock second are reported. This is the number the
  * data-oriented hot-path work optimizes; --baseline-mcyc G embeds a
  * previously recorded geomean so the JSON carries the speedup.
  *
- * A fifth section measures the persistent result store: the fig12
+ * A fourth section measures the persistent result store: the fig12
  * matrix is run twice through a fresh ResultStore — cold (every cell
  * simulates and populates the store) and warm (every cell is served
  * from disk, zero runOne calls) — recording both wall times, the
@@ -32,17 +27,15 @@
  * (report CSV rows + full stat dumps) to the cold ones.
  * tools/check_store_perf.py gates this section in CI.
  *
- * A sixth section measures the verification lab's explorer: the
+ * A fifth section measures the verification lab's explorer: the
  * default small-state model (2 SMs x 2 lines, SC) is exhaustively
  * enumerated and the unique-state count, transition count and
  * states/second throughput are recorded. tools/check_verify.py gates
  * correctness in CI; this section tracks the checking *rate* the
  * capture/restore/canonicalize machinery sustains.
  *
- * Section selection for CI: --only sweep|ff|shards|single|store|
- * verify runs a single section (the others are emitted as empty
- * arrays), and --max-shards N truncates the shard list so a 2-core
- * perf-smoke runner is not asked to oversubscribe.
+ * Section selection for CI: --only sweep|ff|single|store|verify runs
+ * a single section (the others are emitted as empty arrays).
  */
 
 #include <chrono>
@@ -129,13 +122,6 @@ runFastForwardPair(const sim::Config &base, const std::string &wl)
     return row;
 }
 
-struct ShardRow
-{
-    unsigned shards = 1;
-    double secs = 0.0;
-    std::uint64_t cycles = 0;
-};
-
 struct SingleRow
 {
     std::string label;
@@ -205,7 +191,6 @@ main(int argc, char **argv)
     // the rest of the command line to it (it exits on unknown args).
     std::string outPath = "BENCH_sweep_scaling.json";
     std::string only; // empty = all sections
-    unsigned maxShards = 8;
     double baselineMcyc = 0.0;
     std::vector<char *> passArgv = {argv[0]};
     for (int i = 1; i < argc; ++i) {
@@ -218,12 +203,6 @@ main(int argc, char **argv)
             only = argv[++i];
         } else if (arg.rfind("--only=", 0) == 0) {
             only = arg.substr(7);
-        } else if (arg == "--max-shards" && i + 1 < argc) {
-            maxShards = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg.rfind("--max-shards=", 0) == 0) {
-            maxShards = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 13, nullptr, 10));
         } else if (arg == "--baseline-mcyc" && i + 1 < argc) {
             baselineMcyc = std::strtod(argv[++i], nullptr);
         } else if (arg.rfind("--baseline-mcyc=", 0) == 0) {
@@ -238,7 +217,6 @@ main(int argc, char **argv)
     argv = passArgv.data();
     const bool doSweep = only.empty() || only == "sweep";
     const bool doFf = only.empty() || only == "ff";
-    const bool doShards = only.empty() || only == "shards";
     const bool doSingle = only.empty() || only == "single";
     const bool doStore = only.empty() || only == "store";
     const bool doVerify = only.empty() || only == "verify";
@@ -324,66 +302,10 @@ main(int argc, char **argv)
         }
     }
 
-    // Intra-run shard-scaling section: one large coherent run, the
-    // whole machine to itself, at increasing gpu.shards. High
-    // occupancy on purpose — the sharded loop parallelizes SM/L1
-    // work, so the regime that showcases it is the opposite of the
-    // fast-forward section's: every cycle busy, 16 SMs of tick work
-    // per cycle. Results are bit-identical at every shard count, so
-    // only the elapsed time is interesting.
-    sim::Config shCfg = cfg;
-    shCfg.setInt("gpu.num_sms", 16);
-    const std::string shWorkload = "cc";
-    std::vector<ShardRow> shRows;
-    if (doShards) {
-        bool userShardScale = false;
-        for (int i = 1; i < argc; ++i) {
-            if (std::string(argv[i]).rfind("wl.scale=", 0) == 0)
-                userShardScale = true;
-        }
-        if (!userShardScale)
-            shCfg.setDouble("wl.scale", 8.0);
-        std::printf("\nShard scaling (gpu.shards), gtsc/rc/%s, "
-                    "16 SMs, wl.scale=%g:\n\n",
-                    shWorkload.c_str(),
-                    shCfg.getDouble("wl.scale", 1.0));
-        std::printf("%-7s %12s %10s\n", "shards", "seconds",
-                    "speedup");
-        double shSerial = 0.0;
-        for (unsigned shards : {1u, 2u, 4u, 8u}) {
-            if (shards > maxShards)
-                break;
-            sim::Config c = shCfg;
-            c.setInt("gpu.shards", static_cast<int>(shards));
-            auto t0 = std::chrono::steady_clock::now();
-            harness::RunResult r =
-                harness::runOne(c, "gtsc", "rc", shWorkload);
-            auto t1 = std::chrono::steady_clock::now();
-            ShardRow row;
-            row.shards = shards;
-            row.secs = std::chrono::duration<double>(t1 - t0).count();
-            row.cycles = r.cycles;
-            if (shards == 1)
-                shSerial = row.secs;
-            else if (!shRows.empty() && r.cycles != shRows[0].cycles)
-                std::fprintf(stderr,
-                             "warning: cycle count diverged at %u "
-                             "shards (%llu vs %llu)\n",
-                             shards,
-                             static_cast<unsigned long long>(r.cycles),
-                             static_cast<unsigned long long>(
-                                 shRows[0].cycles));
-            std::printf("%-7u %12.3f %10.2fx\n", shards, row.secs,
-                        shSerial > 0.0 ? shSerial / row.secs : 0.0);
-            std::fflush(stdout);
-            shRows.push_back(row);
-        }
-    }
-
     // Single-thread throughput section: the same fig12 matrix the
     // sweep section uses, but each cell run serially and timed
     // individually, reporting simulated Mcycles per wall-clock
-    // second. Default knobs (fast_forward on, 1 shard) — this is the
+    // second. Default knobs (fast_forward on) — this is the
     // configuration every figure regeneration actually runs in, so
     // it is the number the hot-path work has to move.
     std::vector<SingleRow> singleRows;
@@ -590,22 +512,7 @@ main(int argc, char **argv)
             r.onSecs > 0.0 ? r.offSecs / r.onSecs : 0.0);
         json << buf;
     }
-    json << "], \"shard_scaling\": {\"workload\": \"" << shWorkload
-         << "\", \"protocol\": \"gtsc\", \"consistency\": \"rc\", "
-         << "\"num_sms\": 16, \"runs\": [";
-    double shSerialSecs = shRows.empty() ? 0.0 : shRows[0].secs;
-    for (std::size_t i = 0; i < shRows.size(); ++i) {
-        const ShardRow &r = shRows[i];
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"shards\": %u, \"seconds\": %.4f, "
-                      "\"cycles\": %llu, \"speedup\": %.3f}",
-                      i ? ", " : "", r.shards, r.secs,
-                      static_cast<unsigned long long>(r.cycles),
-                      r.secs > 0.0 ? shSerialSecs / r.secs : 0.0);
-        json << buf;
-    }
-    json << "]}, \"single_thread\": {\"cells\": [";
+    json << "], \"single_thread\": {\"cells\": [";
     for (std::size_t i = 0; i < singleRows.size(); ++i) {
         const SingleRow &r = singleRows[i];
         char buf[512];

@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -178,10 +179,8 @@ cmdConfig(const Args &args)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr,
@@ -200,4 +199,23 @@ main(int argc, char **argv)
         return cmdConfig(args);
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
     return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad input (a malformed knob value, a run that overruns
+    // gpu.max_cycles) surfaces as GTSC_FATAL's exception: report it
+    // and exit like a usage error, not an abort.
+    try
+    {
+        return run(argc, argv);
+    }
+    catch (const std::exception &e)
+    {
+        std::fprintf(stderr, "gtsc-sim: %s\n", e.what());
+        return 2;
+    }
 }

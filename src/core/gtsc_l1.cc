@@ -70,9 +70,7 @@ GtscL1::attachTracer(obs::Tracer &tracer)
 void
 GtscL1::adoptEpoch()
 {
-    // Cycle-indexed read: under gpu.shards the domain can already
-    // hold a reset from a future cycle of the current window.
-    std::uint32_t visible = domain_.epochAt(events_.now());
+    std::uint32_t visible = domain_.epoch();
     if (epoch_ == visible)
         return;
     epoch_ = visible;
@@ -506,7 +504,7 @@ GtscL1::receiveResponse(mem::Packet &&pkt, Cycle now)
     if (pkt.tsReset || pkt.epoch > epoch_)
         adoptEpoch();
 
-    bool stale = pkt.epoch < domain_.epochAt(now);
+    bool stale = pkt.epoch < domain_.epoch();
     if (stale)
         ++(*staleResponses_);
 

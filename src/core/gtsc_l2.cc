@@ -202,7 +202,7 @@ GtscL2::serveRead(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
     if (new_rts > domain_.tsMax()) {
         // Overflow: domain-wide reset, then recompute in the new
         // epoch. The requester's old timestamps are void.
-        domain_.triggerReset(now);
+        domain_.triggerReset();
         normalizeEpoch(pkt);
         pkt.tsReset = true;
         // The requester's wts is void in the new epoch: never a
@@ -260,7 +260,7 @@ GtscL2::serveWrite(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
     Ts new_wts = std::max(write_floor, pkt.warpTs);
     Ts new_rts = new_wts + domain_.lease();
     if (new_rts > domain_.tsMax()) {
-        domain_.triggerReset(now);
+        domain_.triggerReset();
         normalizeEpoch(pkt);
         pkt.tsReset = true;
         write_floor = mutWriteIgnoresLease_ ? blk.meta.wts + 1
@@ -336,7 +336,7 @@ GtscL2::onDramFill(Addr line, const mem::LineData &data, Cycle now)
     array_.dataOf(*victim) = data;
 
     if (memTs_ + domain_.lease() > domain_.tsMax()) {
-        domain_.triggerReset(now); // rewinds memTs_ to 1
+        domain_.triggerReset(); // rewinds memTs_ to 1
     }
     victim->meta.wts = memTs_;
     victim->meta.rts = memTs_ + domain_.lease();

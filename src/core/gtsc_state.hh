@@ -76,10 +76,7 @@ struct L2VerifyState
     Ts memTs = 1;
 };
 
-/** Timestamp-domain state. Restore discards the recorded reset
- *  cycles: at a settled snapshot every recorded reset is already in
- *  the past, so epochAt(c) == epoch for every c the restored run can
- *  ask about. */
+/** Timestamp-domain state. */
 struct TsDomainVerifyState
 {
     std::uint32_t epoch = 0;

@@ -50,26 +50,6 @@ class TsDomain
     unsigned tsBytes() const { return tsBytes_; }
     std::uint32_t epoch() const { return epoch_; }
 
-    /**
-     * The epoch as of cycle `c`. L1s must use this (not epoch()) for
-     * their lazy reset check: under gpu.shards the coordinator ticks
-     * the L2s a whole window ahead of the SM shards, so a reset can
-     * already be recorded for a cycle the querying L1 has not reached
-     * yet — reading epoch() there would adopt the reset early and
-     * diverge from the serial loop. Resets are rare, so the
-     * back-to-front scan over the few recorded cycles is cheaper
-     * than it looks.
-     */
-    std::uint32_t
-    epochAt(Cycle c) const
-    {
-        std::uint32_t e = epoch_;
-        for (auto it = resetCycles_.rbegin();
-             it != resetCycles_.rend() && *it > c; ++it)
-            --e;
-        return e;
-    }
-
     /** L2 banks register their rewind action here. */
     void
     addResetListener(std::function<void()> fn)
@@ -78,30 +58,21 @@ class TsDomain
     }
 
     /**
-     * An L2 bank hit the timestamp ceiling at cycle `now`: start a
-     * new epoch and rewind every bank. Callers recompute their
-     * timestamps in the new epoch afterwards. L2-side only — the
-     * shards never write the domain, which is what makes the
-     * concurrent epochAt() reads safe (the barrier orders a window's
-     * writes before the next window's reads).
+     * An L2 bank hit the timestamp ceiling: start a new epoch and
+     * rewind every bank. Callers recompute their timestamps in the
+     * new epoch afterwards.
      */
     void
-    triggerReset(Cycle now)
+    triggerReset()
     {
-        GTSC_ASSERT(resetCycles_.empty() || resetCycles_.back() <= now,
-                    "ts reset cycles must be recorded in order");
         ++epoch_;
         ++(*tsResets_);
-        resetCycles_.push_back(now);
         for (auto &fn : listeners_)
             fn();
     }
 
-    /**
-     * Snapshot the domain (verification lab). At a settled snapshot
-     * every recorded reset is in the past, so the epoch alone fully
-     * describes the domain's future behaviour.
-     */
+    /** Snapshot the domain (verification lab): the epoch alone
+     *  fully describes its future behaviour. */
     TsDomainVerifyState
     captureVerifyState() const
     {
@@ -109,17 +80,13 @@ class TsDomain
     }
 
     /**
-     * Restore a snapshot. Discards the recorded reset cycles:
-     * epochAt(c) then returns the restored epoch for every c, which
-     * is exactly the settled snapshot's behaviour (all resets were
-     * already visible). Listeners are NOT fired — the caller
+     * Restore a snapshot. Listeners are NOT fired — the caller
      * restores every component's state explicitly.
      */
     void
     restoreVerifyState(const TsDomainVerifyState &s)
     {
         epoch_ = s.epoch;
-        resetCycles_.clear();
     }
 
   private:
@@ -128,7 +95,6 @@ class TsDomain
     Ts lease_ = 0;
     unsigned tsBytes_ = 2;
     std::uint32_t epoch_ = 0;
-    std::vector<Cycle> resetCycles_;
     std::vector<std::function<void()>> listeners_;
 };
 

@@ -28,10 +28,8 @@ namespace gtsc::gpu
  * Each SM owns one, seeded with a disjoint arithmetic progression
  * (first = sm + 1, stride = numSms): values stay globally unique —
  * the coherence checker matches loads to stores by value — without
- * any cross-SM shared state, so SMs sharded across threads draw
- * values independently and the sequence each SM sees is identical
- * at any shard count. The default (1, 1) keeps the old single-SM
- * behaviour for unit tests.
+ * any cross-SM shared state. The default (1, 1) keeps the old
+ * single-SM behaviour for unit tests.
  */
 class StoreValueSource
 {

@@ -234,9 +234,6 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     flushL2BetweenKernels_ =
         cfg_.getBool("gpu.flush_l2_between_kernels", true);
 
-    numShards_ = GpuParams::resolveShards(cfg_, params_.numSms);
-    parallel_ = numShards_ > 1;
-
     builder_.prepare(cfg_, stats_, params_);
 
     reqNet_ = noc::makeNetwork(params_.numSms, params_.numPartitions,
@@ -244,28 +241,10 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     respNet_ = noc::makeNetwork(params_.numPartitions, params_.numSms,
                                 false, cfg_, stats_, "noc.resp");
 
-    if (parallel_) {
-        // Conservative-PDES lookahead: the shortest path through
-        // either network bounds how many cycles the shards can run
-        // between barriers without ever missing a delivery.
-        window_ = std::min(reqNet_->minTraversalLatency(),
-                           respNet_->minTraversalLatency());
-        GTSC_ASSERT(window_ >= 1, "NoC lookahead must be positive");
-        for (unsigned k = 0; k < numShards_; ++k)
-            shards_.push_back(std::make_unique<Shard>());
-        pool_ = std::make_unique<sim::ThreadPool>(numShards_ - 1);
-    }
-    shardOf_.resize(params_.numSms);
     stagedReq_.resize(params_.numSms);
-    stagedCursor_.assign(params_.numSms, 0);
-    pendingResp_.resize(params_.numSms);
     storeValues_.reserve(params_.numSms);
-    for (unsigned s = 0; s < params_.numSms; ++s) {
+    for (unsigned s = 0; s < params_.numSms; ++s)
         storeValues_.emplace_back(s + 1, params_.numSms);
-        shardOf_[s] = s % numShards_;
-        if (parallel_)
-            shards_[shardOf_[s]]->sms.push_back(s);
-    }
 
     for (unsigned p = 0; p < params_.numPartitions; ++p) {
         drams_.push_back(std::make_unique<mem::DramChannel>(
@@ -279,31 +258,19 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     }
 
     for (unsigned s = 0; s < params_.numSms; ++s) {
-        sim::StatSet &lstats =
-            parallel_ ? shards_[shardOf_[s]]->stats : stats_;
-        sim::EventQueue &levents =
-            parallel_ ? shards_[shardOf_[s]]->events : events_;
-        l1s_.push_back(builder_.makeL1(static_cast<SmId>(s), cfg_, lstats,
-                                       levents, probe));
-        // Requests are staged per source SM and injected in canonical
-        // (cycle, src, FIFO) order — in the serial loop at the end of
-        // the same cycle, in the sharded loop at the window barrier —
-        // so the NoC's global arbitration sequence is identical at
-        // any shard count. A packet injected at cycle c cannot be
-        // ejected before c + minTraversalLatency(), so deferring the
-        // injection within the cycle/window is unobservable.
+        l1s_.push_back(builder_.makeL1(static_cast<SmId>(s), cfg_, stats_,
+                                       events_, probe));
+        // Requests are staged per source SM and injected in (src,
+        // FIFO) order at the end of the cycle, so the NoC's global
+        // arbitration sequence does not depend on when within the
+        // cycle an L1 sent. A packet cannot be ejected in the cycle
+        // it was injected, so deferring the injection is unobservable.
         l1s_.back()->setSend([this, s](mem::Packet &&pkt) {
-            if (parallel_) {
-                stagedReq_[s].push_back(
-                    StagedPkt{shards_[shardOf_[s]]->now, std::move(pkt)});
-            } else {
-                stagedReq_[s].push_back(
-                    StagedPkt{cycle_, std::move(pkt)});
-                ++stagedCount_;
-            }
+            stagedReq_[s].push_back(std::move(pkt));
+            ++stagedCount_;
         });
         sms_.push_back(std::make_unique<Sm>(static_cast<SmId>(s), params_,
-                                            cfg_, lstats, *l1s_.back(),
+                                            cfg_, stats_, *l1s_.back(),
                                             storeValues_[s]));
     }
 
@@ -311,21 +278,7 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
         l2s_[dst]->receiveRequest(std::move(pkt), cycle_);
     });
     respNet_->setDeliver([this](unsigned dst, mem::Packet &&pkt) {
-        if (parallel_) {
-            // Coordinator-side ejection: park the response with its
-            // delivery cycle; the owning shard replays it when its
-            // sweep reaches that cycle, preserving per-L1 order.
-            pendingResp_[dst].push_back(
-                StagedPkt{cycle_, std::move(pkt)});
-            // Wake the owning L1 at the delivery cycle so the shard's
-            // active-set sweep replays the packet exactly then (phase
-            // A runs strictly before phase B, so this cross-wheel arm
-            // never races the shard's own pops).
-            if (activeSet_)
-                shards_[shardOf_[dst]]->l1Wheel.arm(dst, cycle_);
-        } else {
-            l1s_[dst]->receiveResponse(std::move(pkt), cycle_);
-        }
+        l1s_[dst]->receiveResponse(std::move(pkt), cycle_);
     });
 
     if (activeSet_) {
@@ -333,17 +286,8 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
         dramWheel_.reset(params_.numPartitions);
         due_.reserve(std::max<std::size_t>(params_.numSms,
                                            params_.numPartitions));
-        if (parallel_) {
-            for (auto &sh : shards_) {
-                sh->smWheel.reset(params_.numSms);
-                sh->l1Wheel.reset(params_.numSms);
-                sh->dueSm.reserve(params_.numSms);
-                sh->dueL1.reserve(params_.numSms);
-            }
-        } else {
-            smWheel_.reset(params_.numSms);
-            l1Wheel_.reset(params_.numSms);
-        }
+        smWheel_.reset(params_.numSms);
+        l1Wheel_.reset(params_.numSms);
         for (unsigned p = 0; p < params_.numPartitions; ++p) {
             l2s_[p]->setWakeHook(
                 [this, p](Cycle at) { l2Wheel_.arm(p, at); });
@@ -351,18 +295,9 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
                 [this, p](Cycle at) { dramWheel_.arm(p, at); });
         }
         for (unsigned s = 0; s < params_.numSms; ++s) {
-            if (parallel_) {
-                Shard *sh = shards_[shardOf_[s]].get();
-                l1s_[s]->setWakeHook(
-                    [sh, s](Cycle at) { sh->l1Wheel.arm(s, at); });
-                sms_[s]->setWakeHook(
-                    [sh, s] { sh->smWheel.arm(s, sh->now); });
-            } else {
-                l1s_[s]->setWakeHook(
-                    [this, s](Cycle at) { l1Wheel_.arm(s, at); });
-                sms_[s]->setWakeHook(
-                    [this, s] { smWheel_.arm(s, cycle_); });
-            }
+            l1s_[s]->setWakeHook(
+                [this, s](Cycle at) { l1Wheel_.arm(s, at); });
+            sms_[s]->setWakeHook([this, s] { smWheel_.arm(s, cycle_); });
         }
         reqNet_->setWakeHook([this](Cycle at) {
             reqWake_ = std::min(reqWake_, at);
@@ -375,10 +310,8 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     // guard in the SM's completion callbacks is provably dead (now_
     // never lags), so installing it unconditionally keeps one code
     // path.
-    for (unsigned s = 0; s < params_.numSms; ++s) {
-        sms_[s]->setSchedNow(parallel_ ? &shards_[shardOf_[s]]->now
-                                       : &cycle_);
-    }
+    for (auto &sm : sms_)
+        sm->setSchedNow(&cycle_);
 
     // The networks registered their packet counters above; cache the
     // references so progressToken() avoids two string-hashed lookups
@@ -387,11 +320,6 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     nocRespPackets_ = &stats_.counter("noc.resp.packets");
 
     bindTypedLoops();
-
-    // Register every shard-side counter key in the global set (at
-    // value 0) before anything reads it: stat dumps and timeline
-    // columns must have the same key set at any shard count.
-    drainShardStats();
 }
 
 void
@@ -440,19 +368,7 @@ GpuSystem::quiescent() const
         if (!dram->idle())
             return false;
     }
-    for (const auto &sh : shards_) {
-        if (!sh->events.empty())
-            return false;
-    }
-    for (const auto &q : pendingResp_) {
-        if (!q.empty())
-            return false;
-    }
-    for (const auto &v : stagedReq_) {
-        if (!v.empty())
-            return false;
-    }
-    return true;
+    return stagedCount_ == 0;
 }
 
 std::uint64_t
@@ -488,11 +404,6 @@ GpuSystem::workHorizon() const
     next = std::min(next, events_.nextEventCycle());
     if (next <= floor)
         return next;
-    for (const auto &sh : shards_) {
-        next = std::min(next, sh->events.nextEventCycle());
-        if (next <= floor)
-            return next;
-    }
     next = std::min(next, respNet_->nextWorkCycle(cycle_));
     if (next <= floor)
         return next;
@@ -521,16 +432,8 @@ GpuSystem::activeWorkHorizon() const
     next = std::min(next, reqWake_);
     next = std::min(next, l2Wheel_.nextWake());
     next = std::min(next, dramWheel_.nextWake());
-    if (parallel_) {
-        for (const auto &sh : shards_) {
-            next = std::min(next, sh->events.nextEventCycle());
-            next = std::min(next, sh->smWheel.nextWake());
-            next = std::min(next, sh->l1Wheel.nextWake());
-        }
-    } else {
-        next = std::min(next, smWheel_.nextWake());
-        next = std::min(next, l1Wheel_.nextWake());
-    }
+    next = std::min(next, smWheel_.nextWake());
+    next = std::min(next, l1Wheel_.nextWake());
     return std::max(next, cycle_ + 1);
 }
 
@@ -542,18 +445,9 @@ GpuSystem::armActiveSet(Cycle at)
     // their re-arm horizon, so this mirrors the always-tick loops'
     // first cycle exactly. Min-merge also retires any stale arms a
     // previous kernel left behind.
-    if (parallel_) {
-        for (auto &sh : shards_) {
-            for (unsigned s : sh->sms) {
-                sh->smWheel.arm(s, at);
-                sh->l1Wheel.arm(s, at);
-            }
-        }
-    } else {
-        for (unsigned s = 0; s < params_.numSms; ++s) {
-            smWheel_.arm(s, at);
-            l1Wheel_.arm(s, at);
-        }
+    for (unsigned s = 0; s < params_.numSms; ++s) {
+        smWheel_.arm(s, at);
+        l1Wheel_.arm(s, at);
     }
     for (unsigned p = 0; p < params_.numPartitions; ++p) {
         l2Wheel_.arm(p, at);
@@ -596,141 +490,16 @@ GpuSystem::activity() const
     return f;
 }
 
-Cycle
-GpuSystem::coordHorizon(Cycle now) const
-{
-    const Cycle floor = now + 1;
-    Cycle next = events_.nextEventCycle();
-    if (next <= floor)
-        return next;
-    next = std::min(next, respNet_->nextWorkCycle(now));
-    if (next <= floor)
-        return next;
-    next = std::min(next, reqNet_->nextWorkCycle(now));
-    if (next <= floor)
-        return next;
-    next = std::min(next, l2Horizon_(*this, now, floor));
-    if (next <= floor)
-        return next;
-    for (const auto &dram : drams_) {
-        next = std::min(next, dram->nextWorkCycle(now));
-        if (next <= floor)
-            return next;
-    }
-    return next;
-}
-
-Cycle
-GpuSystem::shardHorizon(const Shard &sh, Cycle now) const
-{
-    const Cycle floor = now + 1;
-    Cycle next = sh.events.nextEventCycle();
-    if (next <= floor)
-        return next;
-    for (unsigned s : sh.sms) {
-        next = std::min(next, sms_[s]->nextWorkCycle(now));
-        if (next <= floor)
-            return next;
-        next = std::min(next, l1s_[s]->nextWorkCycle(now));
-        if (next <= floor)
-            return next;
-        const auto &q = pendingResp_[s];
-        if (!q.empty())
-            next = std::min(next, std::max(q.front().cycle, floor));
-        if (next <= floor)
-            return next;
-    }
-    return next;
-}
-
-bool
-GpuSystem::coordQuiet() const
-{
-    if (!events_.empty())
-        return false;
-    if (!reqNet_->quiescent() || !respNet_->quiescent())
-        return false;
-    for (const auto &l2 : l2s_) {
-        if (!l2->quiescent())
-            return false;
-    }
-    for (const auto &dram : drams_) {
-        if (!dram->idle())
-            return false;
-    }
-    return true;
-}
-
-bool
-GpuSystem::shardQuiet(const Shard &sh) const
-{
-    if (!sh.events.empty())
-        return false;
-    for (unsigned s : sh.sms) {
-        if (!sms_[s]->allWarpsDone() || !sms_[s]->quiescent())
-            return false;
-        if (!l1s_[s]->quiescent())
-            return false;
-        if (!pendingResp_[s].empty() || !stagedReq_[s].empty())
-            return false;
-    }
-    return true;
-}
-
 void
 GpuSystem::flushStagedRequests()
 {
-    const unsigned n = params_.numSms;
-    if (!parallel_) {
-        // Serial loop: every staged packet carries the current
-        // cycle, so the canonical (cycle, src, FIFO) order is simply
-        // source order — skip the cursor merge.
-        for (unsigned s = 0; s < n; ++s) {
-            auto &v = stagedReq_[s];
-            for (auto &staged : v) {
-                mem::Packet pkt = std::move(staged.pkt);
-                reqNet_->inject(s, pkt.part, std::move(pkt),
-                                staged.cycle);
-            }
-            v.clear();
-        }
-        stagedCount_ = 0;
-        return;
-    }
-    bool any = false;
-    for (unsigned s = 0; s < n; ++s) {
-        stagedCursor_[s] = 0;
-        if (!stagedReq_[s].empty())
-            any = true;
+    for (unsigned s = 0; s < params_.numSms; ++s) {
+        auto &v = stagedReq_[s];
+        for (mem::Packet &pkt : v)
+            reqNet_->inject(s, pkt.part, std::move(pkt), cycle_);
+        v.clear();
     }
     stagedCount_ = 0;
-    if (!any)
-        return;
-    // (cycle, src, FIFO) merge. Per-SM buffers are already
-    // cycle-sorted, so a cursor per SM and one pass per distinct
-    // cycle suffice; the serial loop flushes every cycle (all stamps
-    // equal, one pass), the sharded loop once per window.
-    for (;;) {
-        Cycle c = kCycleNever;
-        for (unsigned s = 0; s < n; ++s) {
-            const auto &v = stagedReq_[s];
-            if (stagedCursor_[s] < v.size())
-                c = std::min(c, v[stagedCursor_[s]].cycle);
-        }
-        if (c == kCycleNever)
-            break;
-        for (unsigned s = 0; s < n; ++s) {
-            auto &v = stagedReq_[s];
-            std::size_t &cur = stagedCursor_[s];
-            while (cur < v.size() && v[cur].cycle == c) {
-                mem::Packet pkt = std::move(v[cur].pkt);
-                ++cur;
-                reqNet_->inject(s, pkt.part, std::move(pkt), c);
-            }
-        }
-    }
-    for (unsigned s = 0; s < n; ++s)
-        stagedReq_[s].clear();
 }
 
 void
@@ -740,78 +509,6 @@ GpuSystem::flushStatWindows()
         sm->flushStatWindow();
     reqNet_->flushStatWindow();
     respNet_->flushStatWindow();
-}
-
-void
-GpuSystem::drainShardStats()
-{
-    for (auto &sh : shards_) {
-        sh->stats.drainCountersInto(stats_);
-        fastForwarded_ += sh->fastForwarded;
-        sh->fastForwarded = 0;
-        smTickCount_ += sh->smTicks;
-        sh->smTicks = 0;
-        l1TickCount_ += sh->l1Ticks;
-        sh->l1Ticks = 0;
-    }
-}
-
-void
-GpuSystem::runShardSpan(Shard &sh, Cycle from, Cycle to)
-{
-    // quietFrom == from - 1 means "quiet since before the window";
-    // only consumed when the whole machine turns out to be done, in
-    // which case the pre-window state was provably quiet too.
-    sh.quietFrom = shardQuiet(sh) ? from - 1 : kCycleNever;
-    for (Cycle c = from; c <= to;) {
-        sh.now = c;
-        sh.events.runUntil(c);
-        for (unsigned s : sh.sms) {
-            auto &q = pendingResp_[s];
-            while (!q.empty() && q.front().cycle <= c) {
-                mem::Packet pkt = std::move(q.front().pkt);
-                q.pop_front();
-                l1s_[s]->receiveResponse(std::move(pkt), c);
-            }
-        }
-        for (unsigned s : sh.sms)
-            l1s_[s]->tick(c);
-        for (unsigned s : sh.sms)
-            sms_[s]->tick(c);
-        sh.l1Ticks += sh.sms.size();
-        sh.smTicks += sh.sms.size();
-
-        if (!shardQuiet(sh))
-            sh.quietFrom = kCycleNever;
-        else if (sh.quietFrom == kCycleNever)
-            sh.quietFrom = c;
-
-        if (!fastForward_ || c == to) {
-            ++c;
-            continue;
-        }
-        // Intra-window fast-forward, same contract as the serial
-        // loop's jump but clamped to the window: skipped cycles are
-        // provably no-ops for this shard (no events, no parked
-        // deliveries, no SM/L1 work before the horizon).
-        Cycle next = std::min(shardHorizon(sh, c), to + 1);
-        if (next > c + 1) {
-            Cycle span = next - c - 1;
-            for (unsigned s : sh.sms) {
-                sms_[s]->fastForwardStats(span);
-                sms_[s]->syncTo(next - 1);
-            }
-            sh.fastForwarded += span;
-            c = next;
-        } else {
-            ++c;
-        }
-    }
-    // Shard-side flush: the barrier right after this span drains the
-    // shard StatSet into the global one, so the windowed blocks must
-    // land in it first (and from this shard's own thread).
-    for (unsigned s : sh.sms)
-        sms_[s]->flushStatWindow();
 }
 
 void
@@ -950,156 +647,6 @@ GpuSystem::runSerialLoop(unsigned kernel)
             probeCap = probeJumps == 0 ? 4096 : 64;
             probeAttempts = 0;
             probeJumps = 0;
-        }
-    }
-}
-
-void
-GpuSystem::runParallelLoop(unsigned kernel)
-{
-    std::uint64_t last_progress = progressToken();
-    Cycle last_progress_cycle = cycle_;
-
-    auto all_done = [this]() {
-        for (const auto &sm : sms_) {
-            if (!sm->allWarpsDone())
-                return false;
-        }
-        return true;
-    };
-
-    bool done = all_done() && quiescent();
-    while (!done) {
-        if (cycle_ >= maxCycles_)
-            GTSC_FATAL("simulation exceeded gpu.max_cycles=", maxCycles_,
-                       " for workload ", workload_.name());
-
-        Cycle deadline = last_progress_cycle + watchdogWindow_ + 1;
-
-        // Whole-machine fast-forward at the barrier: when nothing
-        // anywhere has work before the global horizon, jump to it in
-        // one step instead of paying a barrier per window of a long
-        // idle stretch (DRAM latency, spin backoff). Staged and
-        // parked packets are empty here, so workHorizon() covers
-        // every work source.
-        if (fastForward_) {
-            Cycle next = workHorizon();
-            next = std::min(next, deadline);
-            next = std::min(next, maxCycles_ + 1);
-            if (timeline_)
-                next = std::min(next, timeline_->nextSampleAt());
-            if (next > cycle_ + 1) {
-                Cycle span = next - cycle_ - 1;
-                for (auto &sm : sms_) {
-                    sm->fastForwardStats(span);
-                    sm->syncTo(next - 1);
-                }
-                fastForwarded_ += span;
-                cycle_ = next - 1;
-            }
-        }
-
-        const Cycle winStart = cycle_ + 1;
-        Cycle winEnd = std::min(cycle_ + window_, maxCycles_);
-        winEnd = std::min(winEnd, deadline);
-        if (timeline_)
-            winEnd = std::min(winEnd, timeline_->nextSampleAt());
-        GTSC_ASSERT(winEnd >= winStart, "empty shard window");
-
-        // Phase A — coordinator sweep: shared components (events,
-        // L2s, both NoCs, DRAM) tick through the window serially.
-        // Response ejections are parked per destination SM for the
-        // shards to replay; the request network only holds packets
-        // injected at earlier barriers, whose ejections all land in
-        // this window or later (lookahead), so nothing is missed.
-        coordQuietFrom_ = coordQuiet() ? winStart - 1 : kCycleNever;
-        for (Cycle c = winStart; c <= winEnd;) {
-            cycle_ = c;
-            events_.runUntil(c);
-            tickL2s_(*this, c);
-            if (respXbar_)
-                respXbar_->tick(c);
-            else
-                respNet_->tick(c);
-            if (reqXbar_)
-                reqXbar_->tick(c);
-            else
-                reqNet_->tick(c);
-            for (auto &dram : drams_)
-                dram->tick(c);
-            l2TickCount_ += params_.numPartitions;
-            nocTickCount_ += 2;
-            dramTickCount_ += params_.numPartitions;
-
-            if (!coordQuiet())
-                coordQuietFrom_ = kCycleNever;
-            else if (coordQuietFrom_ == kCycleNever)
-                coordQuietFrom_ = c;
-
-            if (!fastForward_ || c == winEnd) {
-                ++c;
-                continue;
-            }
-            Cycle next = std::min(coordHorizon(c), winEnd + 1);
-            c = next > c + 1 ? next : c + 1;
-        }
-        cycle_ = winEnd;
-
-        // Phase B — shard sweeps run concurrently: each shard ticks
-        // its SMs + L1s through the same window against its own
-        // event queue and StatSet, replaying parked responses at
-        // their delivery cycles and staging outbound requests.
-        for (unsigned k = 1; k < numShards_; ++k) {
-            Shard *sh = shards_[k].get();
-            pool_->submit([this, sh, winStart, winEnd] {
-                runShardSpan(*sh, winStart, winEnd);
-            });
-        }
-        runShardSpan(*shards_[0], winStart, winEnd);
-        pool_->wait();
-
-        // Barrier: merge per-shard counters, then inject this
-        // window's staged requests in canonical order.
-        drainShardStats();
-        flushStagedRequests();
-
-        done = all_done() && quiescent();
-        if (done) {
-            // The machine went idle somewhere inside the window; the
-            // serial loop would have stopped right there. Every side
-            // tracked the first cycle of its trailing quiet span, so
-            // the completion cycle is their max, and the only state
-            // the overshoot touched is one idle tick per SM per
-            // cycle (an all-done, drained SM counts idle and nothing
-            // else). Undo those and rewind.
-            Cycle quiet = coordQuietFrom_;
-            for (const auto &sh : shards_)
-                quiet = std::max(quiet, sh->quietFrom);
-            GTSC_ASSERT(quiet != kCycleNever && quiet >= winStart - 1 &&
-                            quiet <= winEnd,
-                        "inconsistent quiet span at completion");
-            if (quiet < winEnd) {
-                stats_.counter("sm.idle_cycles") -=
-                    static_cast<std::uint64_t>(params_.numSms) *
-                    (winEnd - quiet);
-                cycle_ = quiet;
-            }
-        }
-
-        if (timeline_) {
-            if (cycle_ >= timeline_->nextSampleAt())
-                flushStatWindows();
-            timeline_->sample(cycle_);
-        }
-
-        std::uint64_t token = progressToken();
-        if (token != last_progress) {
-            last_progress = token;
-            last_progress_cycle = cycle_;
-        } else if (cycle_ - last_progress_cycle > watchdogWindow_) {
-            GTSC_PANIC("no forward progress for ", watchdogWindow_,
-                       " cycles at cycle ", cycle_, " in workload ",
-                       workload_.name(), " kernel ", kernel);
         }
     }
 }
@@ -1247,229 +794,6 @@ GpuSystem::runActiveSerialLoop(unsigned kernel)
 }
 
 void
-GpuSystem::runActiveShardSpan(Shard &sh, Cycle from, Cycle to)
-{
-    sh.quietFrom = shardQuiet(sh) ? from - 1 : kCycleNever;
-    for (Cycle c = from; c <= to;) {
-        sh.now = c;
-        sh.events.runUntil(c);
-        sh.l1Wheel.popDue(c, sh.dueL1);
-        // Replay parked responses for the due L1s first (the deliver
-        // hook armed each destination at its delivery cycle), then
-        // tick them — same order as the always-tick span.
-        for (unsigned s : sh.dueL1) {
-            auto &q = pendingResp_[s];
-            while (!q.empty() && q.front().cycle <= c) {
-                mem::Packet pkt = std::move(q.front().pkt);
-                q.pop_front();
-                l1s_[s]->receiveResponse(std::move(pkt), c);
-            }
-        }
-        for (unsigned s : sh.dueL1) {
-            tickOneL1_(*this, s, c);
-            Cycle next = oneL1Horizon_(*this, s, c);
-            const auto &q = pendingResp_[s];
-            if (!q.empty())
-                next = std::min(next, std::max(q.front().cycle, c + 1));
-            sh.l1Wheel.arm(s, next);
-        }
-        sh.l1Ticks += sh.dueL1.size();
-        sh.smWheel.popDue(c, sh.dueSm);
-        for (unsigned s : sh.dueSm) {
-            sms_[s]->accountThrough(c - 1);
-            sms_[s]->tick(c);
-            sh.smWheel.arm(s, sms_[s]->nextWorkCycle(c));
-        }
-        sh.smTicks += sh.dueSm.size();
-
-        if (!shardQuiet(sh))
-            sh.quietFrom = kCycleNever;
-        else if (sh.quietFrom == kCycleNever)
-            sh.quietFrom = c;
-
-        if (!fastForward_ || c == to ||
-            !sh.dueSm.empty() || !sh.dueL1.empty()) {
-            ++c;
-            continue;
-        }
-        Cycle next = sh.events.nextEventCycle();
-        next = std::min(next, sh.smWheel.nextWake());
-        next = std::min(next, sh.l1Wheel.nextWake());
-        next = std::max(next, c + 1);
-        next = std::min(next, to + 1);
-        if (next > c + 1) {
-            sh.fastForwarded += next - c - 1;
-            c = next;
-        } else {
-            ++c;
-        }
-    }
-    // The barrier is about to read this shard's stats, and the done
-    // rollback assumes every SM counted its idle cycles through the
-    // window end — materialize the deferred accounting (O(1) per
-    // parked SM) before flushing the windowed blocks.
-    for (unsigned s : sh.sms) {
-        sms_[s]->accountThrough(to);
-        sms_[s]->flushStatWindow();
-    }
-}
-
-void
-GpuSystem::runActiveParallelLoop(unsigned kernel)
-{
-    std::uint64_t last_progress = progressToken();
-    Cycle last_progress_cycle = cycle_;
-
-    auto all_done = [this]() {
-        for (const auto &sm : sms_) {
-            if (!sm->allWarpsDone())
-                return false;
-        }
-        return true;
-    };
-
-    armActiveSet(cycle_ + 1);
-
-    bool done = all_done() && quiescent();
-    while (!done) {
-        if (cycle_ >= maxCycles_)
-            GTSC_FATAL("simulation exceeded gpu.max_cycles=", maxCycles_,
-                       " for workload ", workload_.name());
-
-        Cycle deadline = last_progress_cycle + watchdogWindow_ + 1;
-
-        // Whole-machine jump at the barrier: every wheel, scalar net
-        // wake and event queue is visible here (staged and parked
-        // packets are drained), so the active horizon covers every
-        // work source.
-        if (fastForward_) {
-            Cycle next = activeWorkHorizon();
-            next = std::min(next, deadline);
-            next = std::min(next, maxCycles_ + 1);
-            if (timeline_)
-                next = std::min(next, timeline_->nextSampleAt());
-            if (next > cycle_ + 1) {
-                fastForwarded_ += next - cycle_ - 1;
-                cycle_ = next - 1;
-            }
-        }
-
-        const Cycle winStart = cycle_ + 1;
-        Cycle winEnd = std::min(cycle_ + window_, maxCycles_);
-        winEnd = std::min(winEnd, deadline);
-        if (timeline_)
-            winEnd = std::min(winEnd, timeline_->nextSampleAt());
-        GTSC_ASSERT(winEnd >= winStart, "empty shard window");
-
-        coordQuietFrom_ = coordQuiet() ? winStart - 1 : kCycleNever;
-        for (Cycle c = winStart; c <= winEnd;) {
-            cycle_ = c;
-            std::size_t nDue = 0;
-            events_.runUntil(c);
-            l2Wheel_.popDue(c, due_);
-            for (unsigned p : due_) {
-                tickOneL2_(*this, p, c);
-                l2Wheel_.arm(p, oneL2Horizon_(*this, p, c));
-            }
-            l2TickCount_ += due_.size();
-            nDue += due_.size();
-            if (respWake_ <= c) {
-                respWake_ = kCycleNever;
-                if (respXbar_)
-                    respXbar_->tick(c);
-                else
-                    respNet_->tick(c);
-                respWake_ =
-                    std::min(respWake_, respNet_->nextWorkCycle(c));
-                ++nocTickCount_;
-                ++nDue;
-            }
-            if (reqWake_ <= c) {
-                reqWake_ = kCycleNever;
-                if (reqXbar_)
-                    reqXbar_->tick(c);
-                else
-                    reqNet_->tick(c);
-                reqWake_ =
-                    std::min(reqWake_, reqNet_->nextWorkCycle(c));
-                ++nocTickCount_;
-                ++nDue;
-            }
-            dramWheel_.popDue(c, due_);
-            for (unsigned p : due_) {
-                drams_[p]->tick(c);
-                dramWheel_.arm(p, drams_[p]->nextWorkCycle(c));
-            }
-            dramTickCount_ += due_.size();
-            nDue += due_.size();
-
-            if (!coordQuiet())
-                coordQuietFrom_ = kCycleNever;
-            else if (coordQuietFrom_ == kCycleNever)
-                coordQuietFrom_ = c;
-
-            if (!fastForward_ || c == winEnd || nDue != 0) {
-                ++c;
-                continue;
-            }
-            Cycle next = events_.nextEventCycle();
-            next = std::min(next, respWake_);
-            next = std::min(next, reqWake_);
-            next = std::min(next, l2Wheel_.nextWake());
-            next = std::min(next, dramWheel_.nextWake());
-            next = std::max(next, c + 1);
-            next = std::min(next, winEnd + 1);
-            c = next;
-        }
-        cycle_ = winEnd;
-
-        for (unsigned k = 1; k < numShards_; ++k) {
-            Shard *sh = shards_[k].get();
-            pool_->submit([this, sh, winStart, winEnd] {
-                runActiveShardSpan(*sh, winStart, winEnd);
-            });
-        }
-        runActiveShardSpan(*shards_[0], winStart, winEnd);
-        pool_->wait();
-
-        drainShardStats();
-        flushStagedRequests();
-
-        done = all_done() && quiescent();
-        if (done) {
-            Cycle quiet = coordQuietFrom_;
-            for (const auto &sh : shards_)
-                quiet = std::max(quiet, sh->quietFrom);
-            GTSC_ASSERT(quiet != kCycleNever && quiet >= winStart - 1 &&
-                            quiet <= winEnd,
-                        "inconsistent quiet span at completion");
-            if (quiet < winEnd) {
-                stats_.counter("sm.idle_cycles") -=
-                    static_cast<std::uint64_t>(params_.numSms) *
-                    (winEnd - quiet);
-                cycle_ = quiet;
-            }
-        }
-
-        if (timeline_) {
-            if (cycle_ >= timeline_->nextSampleAt())
-                flushStatWindows();
-            timeline_->sample(cycle_);
-        }
-
-        std::uint64_t token = progressToken();
-        if (token != last_progress) {
-            last_progress = token;
-            last_progress_cycle = cycle_;
-        } else if (cycle_ - last_progress_cycle > watchdogWindow_) {
-            GTSC_PANIC("no forward progress for ", watchdogWindow_,
-                       " cycles at cycle ", cycle_, " in workload ",
-                       workload_.name(), " kernel ", kernel);
-        }
-    }
-}
-
-void
 GpuSystem::runKernel(unsigned kernel)
 {
     workload_.initMemory(memory_, kernel);
@@ -1489,17 +813,10 @@ GpuSystem::runKernel(unsigned kernel)
         sms_[s]->launchKernel(std::move(programScratch_));
     }
 
-    if (parallel_) {
-        if (activeSet_)
-            runActiveParallelLoop(kernel);
-        else
-            runParallelLoop(kernel);
-    } else {
-        if (activeSet_)
-            runActiveSerialLoop(kernel);
-        else
-            runSerialLoop(kernel);
-    }
+    if (activeSet_)
+        runActiveSerialLoop(kernel);
+    else
+        runSerialLoop(kernel);
 
     // Kernel boundary: GPUs flush private caches (Section V-D).
     for (auto &l1 : l1s_)
@@ -1509,12 +826,9 @@ GpuSystem::runKernel(unsigned kernel)
         for (auto &l2 : l2s_)
             l2->flushAll(cycle_);
     }
-    // Anything still sitting in a windowed counter block or a
-    // shard-side StatSet must reach the global set before the
-    // harness reads per-kernel stats.
+    // Anything still sitting in a windowed counter block must reach
+    // the StatSet before the harness reads per-kernel stats.
     flushStatWindows();
-    if (parallel_)
-        drainShardStats();
     stats_.counter("gpu.kernels_run")++;
 }
 

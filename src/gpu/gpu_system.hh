@@ -4,21 +4,11 @@
  * crossbars, L2 partitions with their DRAM channels, one functional
  * main memory, and the cycle loop that runs a Workload's kernels
  * back to back (flushing L1s at kernel boundaries, as GPUs do).
- *
- * Two main-loop implementations share the same per-cycle semantics:
- * the serial loop (gpu.shards=1, default) and a barrier-synchronized
- * sharded loop (gpu.shards>1) that ticks groups of SMs + their L1s
- * on a thread pool over windows of W cycles, where W is the minimum
- * NoC traversal latency (conservative-PDES lookahead: traffic
- * injected inside a window cannot be delivered inside it). Stat
- * dumps, traces, timelines and transcripts are bit-identical at any
- * shard count; see DESIGN.md "Parallel execution model".
  */
 
 #ifndef GTSC_GPU_GPU_SYSTEM_HH_
 #define GTSC_GPU_GPU_SYSTEM_HH_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +25,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/thread_pool.hh"
 #include "sim/time_wheel.hh"
 
 namespace gtsc::noc
@@ -64,16 +53,11 @@ class GpuSystem
     const GpuParams &params() const { return params_; }
     Cycle cycle() const { return cycle_; }
 
-    /** Effective shard count (gpu.shards / GTSC_SHARDS, clamped). */
-    unsigned shards() const { return numShards_; }
-
     /**
      * Simulated cycles the hybrid main loop skipped instead of
      * ticking (0 with gpu.fast_forward=false). Deliberately not a
      * StatSet entry: stat dumps must be bit-identical with the knob
-     * on and off. With gpu.shards>1 the per-shard jumps are summed,
-     * so the value legitimately differs across shard counts even
-     * though every stat does not.
+     * on and off.
      */
     std::uint64_t fastForwardedCycles() const { return fastForwarded_; }
 
@@ -114,9 +98,8 @@ class GpuSystem
      * Wire an observability session into every component: tracer
      * tracks for SMs, L1s, L2s, NoCs and DRAM channels, the protocol
      * transcript at the two network delivery points, and the stat
-     * timeline (whose sample cycles neither the fast-forward jump
-     * nor a shard window ever skips, so timelines are identical with
-     * the knobs on or off).
+     * timeline (whose sample cycles the fast-forward jump never
+     * skips, so timelines are identical with the knob on or off).
      */
     void attachObs(obs::Session &session);
 
@@ -132,42 +115,6 @@ class GpuSystem
     }
 
   private:
-    /** A packet staged with the cycle it was sent/delivered at. */
-    struct StagedPkt
-    {
-        Cycle cycle;
-        mem::Packet pkt;
-    };
-
-    /**
-     * One shard: a group of SMs + their private L1s, ticked by one
-     * thread inside a window. Each shard owns the event queue its
-     * L1s schedule completions on and the StatSet their counters
-     * live in; both are merged deterministically at the barrier.
-     */
-    struct Shard
-    {
-        std::vector<unsigned> sms; ///< SM indices, ascending
-        sim::EventQueue events;
-        sim::StatSet stats;
-        /** Cycle the shard is currently executing (send staging). */
-        Cycle now = 0;
-        /**
-         * First cycle of the shard's current trailing quiet span
-         * (side-local done + drained); kCycleNever while busy. The
-         * barrier uses the max across sides to roll the completion
-         * cycle back to exactly where the serial loop would stop.
-         */
-        Cycle quietFrom = 0;
-        std::uint64_t fastForwarded = 0;
-        // --- active-set scheduling state (gpu.active_set) ---
-        /** Park/wake wheels over the shard's SMs and L1s, indexed by
-         * global SM id (sparse outside sms is fine: never armed). */
-        sim::TimeWheel smWheel, l1Wheel;
-        std::vector<std::uint32_t> dueSm, dueL1; ///< popDue scratch
-        std::uint64_t smTicks = 0, l1Ticks = 0;  ///< activity counters
-    };
-
     /**
      * Devirtualized fan-outs over the homogeneous controller arrays
      * (data-oriented hot path). A run instantiates exactly one
@@ -189,14 +136,10 @@ class GpuSystem
     bool quiescent() const;
     void runKernel(unsigned kernel);
     void runSerialLoop(unsigned kernel);
-    void runParallelLoop(unsigned kernel);
-    void runShardSpan(Shard &sh, Cycle from, Cycle to);
-    // Active-set twins (gpu.active_set=1, the default): identical
+    // Active-set twin (gpu.active_set=1, the default): identical
     // per-cycle phase order, but each component family is driven off
-    // a TimeWheel and only due ids are ticked. See DESIGN.md §10.
+    // a TimeWheel and only due ids are ticked. See DESIGN.md §9.
     void runActiveSerialLoop(unsigned kernel);
-    void runActiveParallelLoop(unsigned kernel);
-    void runActiveShardSpan(Shard &sh, Cycle from, Cycle to);
     /** Arm every component at `at` (loop entry: nothing is parked
      * yet; idle components park themselves on their first tick). */
     void armActiveSet(Cycle at);
@@ -209,37 +152,20 @@ class GpuSystem
     void accountSmsThrough(Cycle upto);
     std::uint64_t progressToken() const;
 
-    /** Drain per-SM staged request packets into the request network
-     * in canonical (cycle, src, FIFO/reqId) order. */
+    /** Drain this cycle's staged request packets into the request
+     * network in (src, FIFO) order. */
     void flushStagedRequests();
-
-    /** Merge per-shard counters into the global StatSet (barrier). */
-    void drainShardStats();
 
     /**
      * Batch every component's windowed counter block into its
      * StatSet. Must run before anything reads stats by name: a due
-     * timeline sample, the per-kernel harvest, end of run. (In the
-     * sharded loop, SM windows are instead flushed shard-side at the
-     * end of each span, before the barrier's drainShardStats.)
+     * timeline sample, the per-kernel harvest, end of run.
      */
     void flushStatWindows();
 
-    /** Shard-local done + drained (its SMs, L1s, events, deliveries). */
-    bool shardQuiet(const Shard &sh) const;
-
-    /** Coordinator-side drained (events, NoCs, L2s, DRAMs). */
-    bool coordQuiet() const;
-
-    /** Earliest future cycle with shard-local work; > now. */
-    Cycle shardHorizon(const Shard &sh, Cycle now) const;
-
-    /** Earliest future cycle with coordinator-side work; > now. */
-    Cycle coordHorizon(Cycle now) const;
-
     /**
      * Minimum of every component's nextWorkCycle() and the event
-     * queue(s): the earliest future cycle at which ticking can do
+     * queue: the earliest future cycle at which ticking can do
      * anything observable. kCycleNever when the machine is fully
      * quiescent.
      */
@@ -279,30 +205,13 @@ class GpuSystem
     noc::Crossbar *reqXbar_ = nullptr;
     noc::Crossbar *respXbar_ = nullptr;
 
-    // --- sharded execution state ---
-    unsigned numShards_ = 1;
-    bool parallel_ = false;
-    /** Window size = min NoC traversal latency (PDES lookahead). */
-    Cycle window_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<unsigned> shardOf_; ///< SM index -> shard index
     /**
      * Per-SM request packets sent by L1s, staged until the end of
-     * the cycle (serial) or the window barrier (sharded), then
-     * injected in canonical order so the NoC's global tie-break
-     * sequence is identical at any shard count.
+     * the cycle and then injected in source order, which fixes the
+     * NoC's arbitration sequence.
      */
-    std::vector<std::vector<StagedPkt>> stagedReq_;
-    std::vector<std::size_t> stagedCursor_;
-    std::size_t stagedCount_ = 0; ///< serial-loop fast skip
-    /**
-     * Per-SM response packets ejected by the coordinator during a
-     * window, stamped with their delivery cycle and replayed by the
-     * owning shard when it reaches that cycle.
-     */
-    std::vector<std::deque<StagedPkt>> pendingResp_;
-    std::unique_ptr<sim::ThreadPool> pool_;
-    Cycle coordQuietFrom_ = 0;
+    std::vector<std::vector<mem::Packet>> stagedReq_;
+    std::size_t stagedCount_ = 0; ///< packets in stagedReq_
 
     Cycle cycle_ = 0;
     obs::StatTimeline *timeline_ = nullptr;
@@ -325,8 +234,6 @@ class GpuSystem
 
     // --- active-set scheduling state (gpu.active_set) ---
     bool activeSet_;
-    /** Serial-loop wheels (SM/L1 wheels live shard-side when
-     * gpu.shards>1; L2/DRAM wheels are always coordinator-side). */
     sim::TimeWheel smWheel_, l1Wheel_;
     sim::TimeWheel l2Wheel_, dramWheel_;
     std::vector<std::uint32_t> due_; ///< popDue scratch
@@ -334,8 +241,7 @@ class GpuSystem
      * each): min-merged by the wake hook, kCycleNever when parked. */
     Cycle reqWake_ = kCycleNever;
     Cycle respWake_ = kCycleNever;
-    /** Activity counters (see activity()); shard SM/L1 ticks are
-     * drained into these at the barrier alongside the stats. */
+    /** Activity counters (see activity()). */
     std::uint64_t smTickCount_ = 0;
     std::uint64_t l1TickCount_ = 0;
     std::uint64_t l2TickCount_ = 0;

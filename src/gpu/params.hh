@@ -11,8 +11,6 @@
 #ifndef GTSC_GPU_PARAMS_HH_
 #define GTSC_GPU_PARAMS_HH_
 
-#include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "sim/config.hh"
@@ -98,28 +96,6 @@ struct GpuParams
     }
 
     unsigned totalWarps() const { return numSms * warpsPerSm; }
-
-    /**
-     * Worker shards for the intra-run parallel main loop: explicit
-     * `gpu.shards` wins, then the GTSC_SHARDS environment variable,
-     * then 1 (serial). Clamped to [1, num_sms] — a shard without an
-     * SM would only add barrier overhead. Results are bit-identical
-     * at any shard count, so this is purely a wall-clock knob.
-     */
-    static unsigned
-    resolveShards(const sim::Config &cfg, unsigned num_sms)
-    {
-        unsigned shards = 0;
-        if (cfg.has("gpu.shards")) {
-            shards = static_cast<unsigned>(cfg.getUint("gpu.shards", 1));
-        } else if (const char *env = std::getenv("GTSC_SHARDS")) {
-            shards = static_cast<unsigned>(
-                std::strtoul(env, nullptr, 10));
-        }
-        if (shards == 0)
-            shards = 1;
-        return std::min(shards, num_sms);
-    }
 };
 
 } // namespace gtsc::gpu

@@ -121,8 +121,7 @@ class Sm
 
     /**
      * Point this SM at its scheduler's current-cycle counter
-     * (GpuSystem::cycle_ serially, the owning Shard's `now` when
-     * sharded). The completion callbacks catch up skipped parked
+     * (GpuSystem::cycle_). The completion callbacks catch up skipped parked
      * cycles against it before processing; with the always-tick
      * loops now_ never lags, so the catch-up is a dead branch.
      */
@@ -154,8 +153,8 @@ class Sm
      * Add the windowed counter block into the StatSet and zero it.
      * Hot-path increments hit the local POD block (one cache line)
      * instead of scattered map nodes; anything that reads the SM's
-     * counters by name — timeline samples, the shard-stat drain, the
-     * end-of-kernel harvest — must be preceded by a flush. GpuSystem
+     * counters by name — timeline samples, the end-of-kernel
+     * harvest — must be preceded by a flush. GpuSystem
      * owns those call sites.
      */
     void flushStatWindow();
@@ -355,7 +354,7 @@ class Sm
     // are ctz scans over readyMask_|retryMask_, and the no-issue
     // classification is four popcount/any queries. The byte arrays
     // stay authoritative for everything cold (mask↔vector
-    // equivalence invariant, DESIGN.md §11).
+    // equivalence invariant, DESIGN.md §10).
     sim::BitMask readyMask_;
     sim::BitMask waitComputeMask_;
     sim::BitMask waitMemMask_;

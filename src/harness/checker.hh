@@ -98,13 +98,9 @@ class CoherenceChecker : public mem::CoherenceProbe
     void report(const std::string &what, Addr word_addr);
 
     /**
-     * With gpu.shards > 1 the load probes fire concurrently from
-     * shard threads (stores stay on the coordinator). One lock per
-     * probe call keeps the histories consistent; verdicts are
-     * order-independent because every check compares against
-     * versions that are strictly in the probe's past — stores are
-     * recorded a full NoC traversal before any load that could
-     * observe them can complete.
+     * One lock per probe call, so a checker shared between threads
+     * keeps its histories consistent. The simulator itself probes
+     * from one thread; the lock is uncontended there.
      */
     std::mutex mutex_;
 

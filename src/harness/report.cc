@@ -18,7 +18,7 @@ csvHeader()
            "noc_latency_p50,noc_latency_p99,ts_resets,"
            "spin_retries,energy_core_j,energy_l1_j,energy_l2_j,"
            "energy_noc_j,energy_dram_j,energy_total_j,"
-           "checker_violations,loads_checked,verified,shards";
+           "checker_violations,loads_checked,verified";
 }
 
 std::string
@@ -38,7 +38,7 @@ csvRow(const RunResult &r)
         << ',' << r.energy.l2 << ',' << r.energy.noc << ','
         << r.energy.dram << ',' << r.energy.total() << ','
         << r.checkerViolations << ',' << r.loadsChecked << ','
-        << (r.verified ? "true" : "false") << ',' << r.shards;
+        << (r.verified ? "true" : "false");
     return oss.str();
 }
 
@@ -82,8 +82,7 @@ toJson(const RunResult &r)
         << ",\"energy_total_j\":" << r.energy.total()
         << ",\"checker_violations\":" << r.checkerViolations
         << ",\"loads_checked\":" << r.loadsChecked
-        << ",\"verified\":" << (r.verified ? "true" : "false")
-        << ",\"shards\":" << r.shards << "}";
+        << ",\"verified\":" << (r.verified ? "true" : "false") << "}";
     return oss.str();
 }
 

@@ -97,7 +97,6 @@ runOne(const sim::Config &base, const std::string &protocol,
     }
     r.verified = wl->verify(system.memory());
     r.fastForwarded = system.fastForwardedCycles();
-    r.shards = system.shards();
     const gpu::GpuSystem::ActivityFractions act = system.activity();
     r.activitySm = act.sm;
     r.activityL1 = act.l1;

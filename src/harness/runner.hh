@@ -64,13 +64,6 @@ struct RunResult
     std::uint64_t fastForwarded = 0;
 
     /**
-     * Worker shards the main loop ran with (gpu.shards /
-     * GTSC_SHARDS, clamped; 1 = serial loop). Like fastForwarded, a
-     * wall-clock knob that never changes `stats`.
-     */
-    unsigned shards = 1;
-
-    /**
      * Per-component-type active-cycle fractions: ticked
      * component-cycles / (simulated cycles * components of that
      * type). Below 1.0 wherever the active-set scheduler

@@ -6,7 +6,6 @@
 #include <exception>
 #include <mutex>
 
-#include "gpu/params.hh"
 #include "sim/thread_pool.hh"
 
 namespace gtsc::harness
@@ -88,23 +87,6 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
 
     unsigned jobs = static_cast<unsigned>(
         std::min<std::size_t>(jobs_, misses.size()));
-    // Intra-run shards multiply each cell's thread use: when the job
-    // count was auto-detected (no --jobs, no GTSC_JOBS), divide the
-    // outer fan-out by the largest shard count in the plan so outer
-    // jobs x inner shards never oversubscribes the machine. An
-    // explicit job count is the caller's to compose.
-    if (opts_.jobs == 0 && std::getenv("GTSC_JOBS") == nullptr) {
-        unsigned max_shards = 1;
-        for (const auto &spec : specs) {
-            unsigned sms = static_cast<unsigned>(
-                spec.config.getUint("gpu.num_sms", 16));
-            max_shards = std::max(
-                max_shards,
-                gpu::GpuParams::resolveShards(spec.config, sms));
-        }
-        if (max_shards > 1)
-            jobs = std::max(1u, jobs / max_shards);
-    }
     if (jobs <= 1) {
         for (std::size_t i : misses) {
             runSpec(i);

@@ -40,7 +40,7 @@
 // be reported: the main loop folds events_.nextEventCycle() into the
 // same minimum.
 //
-// Wake contract (active-set scheduling, DESIGN.md §10)
+// Wake contract (active-set scheduling, DESIGN.md §9)
 // ----------------------------------------------------
 // With gpu.active_set=1 the main loop goes further: a component is
 // ticked *only* on cycles where it has work. After each tick it is

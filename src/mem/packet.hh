@@ -101,7 +101,7 @@ struct Packet
     /**
      * Moves copy the 128-byte line payload only when the message
      * type actually carries one (carriesData); the NoC queues and
-     * the sharded main loop move packets end-to-end, so BusRd /
+     * the request staging move packets end-to-end, so BusRd /
      * BusRnw / BusWrAck hops never touch `data`. The moved-from
      * packet's `data` is left unspecified for data-less types.
      */

@@ -74,13 +74,6 @@ class Crossbar final : public Network
         return earliestEject_ > now ? earliestEject_ : now + 1;
     }
 
-    /**
-     * Injection serializes for at least one cycle (txCycles >= 1 for
-     * any non-empty packet) before the fabric's fixed hop latency,
-     * so arrive = start + tx + hop >= now + 1 + hopLatency.
-     */
-    Cycle minTraversalLatency() const override { return 1 + hopLatency_; }
-
     bool quiescent() const override { return inFlight_ == 0; }
 
     std::uint64_t

@@ -42,13 +42,6 @@ class Mesh final : public Network
     void tick(Cycle now) override;
     Cycle nextWorkCycle(Cycle now) const override;
 
-    /**
-     * Source and destination ports occupy disjoint grid nodes (see
-     * srcNode/dstNode placement), so every route crosses >= 1 link:
-     * one serialization cycle plus one hop latency minimum.
-     */
-    Cycle minTraversalLatency() const override { return 1 + hopLatency_; }
-
     bool quiescent() const override { return inFlight_ == 0; }
 
     std::uint64_t

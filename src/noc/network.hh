@@ -70,17 +70,6 @@ class Network
      */
     virtual void flushStatWindow() {}
 
-    /**
-     * A hard lower bound on inject-to-deliver latency: a packet
-     * injected at cycle c is never delivered before
-     * c + minTraversalLatency(). This is the conservative-PDES
-     * lookahead the sharded main loop uses as its window size — SMs
-     * simulated in parallel for W = minTraversalLatency() cycles
-     * cannot observe each other's traffic early, because nothing
-     * injected inside the window can eject inside it. Must be >= 1.
-     */
-    virtual Cycle minTraversalLatency() const { return 1; }
-
     /** Opt into inject/deliver event tracing (no-op by default). */
     virtual void attachTracer(obs::Tracer &tracer) { (void)tracer; }
 

@@ -185,25 +185,12 @@ Tracer::writeChromeTrace(std::ostream &os) const
                << (tr.total - tr.ring.size()) << "}}";
         }
         // Oldest first: the ring cursor points at the oldest entry
-        // once the buffer has wrapped. A stable per-track sort by
-        // cycle canonicalizes the dump: the sharded main loop
-        // records NoC injections at window barriers (after the
-        // deliveries of later cycles in the same window), so their
-        // ring order is not cycle-monotone the way the serial loop's
-        // is — but same-cycle insertion order matches the serial
-        // loop in both modes, so the sorted dumps are bit-identical.
+        // once the buffer has wrapped. The main loop records in cycle
+        // order, so ring order is already the dump order.
         std::size_t n = tr.ring.size();
-        std::vector<const Event *> ordered;
-        ordered.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            ordered.push_back(&tr.ring[(tr.next + i) % n]);
-        std::stable_sort(ordered.begin(), ordered.end(),
-                         [](const Event *a, const Event *b) {
-                             return a->cycle < b->cycle;
-                         });
-        for (const Event *e : ordered) {
+        for (std::size_t i = 0; i < n; ++i) {
             os << ",\n";
-            writeEvent(os, tr, tid, *e);
+            writeEvent(os, tr, tid, tr.ring[(tr.next + i) % n]);
         }
     }
     os << "]}\n";

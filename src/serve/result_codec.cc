@@ -95,7 +95,6 @@ encodeResult(const harness::RunResult &r)
     u("loads_checked", r.loadsChecked);
     u("verified", r.verified ? 1 : 0);
     u("fast_forwarded", r.fastForwarded);
-    u("shards", r.shards);
     u("issue_slots_used", r.issueSlotsUsed);
     u("sm_ticks_executed", r.smTicksExecuted);
     u("noc_ticks_executed", r.nocTicksExecuted);
@@ -201,8 +200,6 @@ decodeResult(const std::string &text, harness::RunResult *out,
                 out->verified = v != 0;
             else if (name == "fast_forwarded")
                 out->fastForwarded = v;
-            else if (name == "shards")
-                out->shards = static_cast<unsigned>(v);
             else if (name == "issue_slots_used")
                 out->issueSlotsUsed = v;
             else if (name == "sm_ticks_executed")

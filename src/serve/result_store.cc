@@ -23,7 +23,7 @@ namespace fs = std::filesystem;
 namespace gtsc::serve
 {
 
-const char *const kStoreCodeVersion = "pr10";
+const char *const kStoreCodeVersion = "no-shards";
 
 namespace
 {

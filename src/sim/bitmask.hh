@@ -10,7 +10,7 @@
  * and classification counts are popcounts. The masks are *derived*
  * state — the byte arrays stay authoritative for cold queries — and
  * every transition point updates both (the mask↔vector equivalence
- * invariant, DESIGN.md §11).
+ * invariant, DESIGN.md §10).
  *
  * Sized once at construction (resize allocates); every operation
  * after that is heap-free, preserving the zero-alloc steady state.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "sim/log.hh"
 
 namespace gtsc::sim
 {
@@ -165,17 +164,6 @@ StatSet::merge(const StatSet &other)
         counters_[kv.first] += kv.second;
     for (const auto &kv : other.dists_)
         dists_[kv.first].merge(kv.second);
-}
-
-void
-StatSet::drainCountersInto(StatSet &dst)
-{
-    GTSC_ASSERT(dists_.empty(),
-                "drainCountersInto on a StatSet with distributions");
-    for (auto &kv : counters_) {
-        dst.counters_[kv.first] += kv.second;
-        kv.second = 0;
-    }
 }
 
 std::string

@@ -141,17 +141,6 @@ class StatSet
     /** Merge another stat set into this one (counters add). */
     void merge(const StatSet &other);
 
-    /**
-     * Add every counter into `dst` and zero it here, keeping the
-     * keys registered (so cached counter references stay valid and
-     * the key set — hence toString()/timeline columns — is stable).
-     * The sharded main loop drains per-shard StatSets into the
-     * global set at every window barrier; per-shard sets must hold
-     * counters only (distributions don't drain — shard-side
-     * components register none, enforced here).
-     */
-    void drainCountersInto(StatSet &dst);
-
     /** Render "name value" lines, sorted. */
     std::string toString() const;
 

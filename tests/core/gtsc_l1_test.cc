@@ -356,7 +356,7 @@ TEST_F(GtscL1Fixture, TsResetResponseFlushesAndRewinds)
 
     // The domain resets (as if another bank overflowed); a response
     // carrying the new epoch makes this L1 adopt it.
-    domain->triggerReset(now);
+    domain->triggerReset();
     Packet f = fill(0x2000, 1, 10);
     f.epoch = 1;
     f.tsReset = true;

@@ -258,7 +258,7 @@ TEST_F(GtscL2Fixture, StaleEpochRequestIsNormalized)
 {
     l2->receiveRequest(busRd(0x1000, 0, 1), now);
     advance();
-    domain->triggerReset(now);
+    domain->triggerReset();
     sent.clear();
     // A pre-reset request with a huge warp ts must not re-overflow.
     Packet p = busRd(0x1000, 0, domain->tsMax() - 1);

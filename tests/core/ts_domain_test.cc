@@ -26,31 +26,13 @@ TEST(TsDomain, ResetAdvancesEpochAndNotifiesListeners)
     int calls = 0;
     d.addResetListener([&] { ++calls; });
     d.addResetListener([&] { ++calls; });
-    d.triggerReset(100);
+    d.triggerReset();
     EXPECT_EQ(d.epoch(), 1u);
     EXPECT_EQ(calls, 2);
-    d.triggerReset(250);
+    d.triggerReset();
     EXPECT_EQ(d.epoch(), 2u);
     EXPECT_EQ(calls, 4);
     EXPECT_EQ(stats.get("gtsc.ts_resets"), 2u);
-}
-
-TEST(TsDomain, EpochAtIsCycleIndexed)
-{
-    sim::Config cfg;
-    sim::StatSet stats;
-    TsDomain d(cfg, stats);
-    EXPECT_EQ(d.epochAt(0), 0u);
-    d.triggerReset(100);
-    d.triggerReset(250);
-    // A reader that has not reached the reset cycle yet must still
-    // see the old epoch (the sharded loop's L1s query mid-window).
-    EXPECT_EQ(d.epochAt(99), 0u);
-    EXPECT_EQ(d.epochAt(100), 1u);
-    EXPECT_EQ(d.epochAt(249), 1u);
-    EXPECT_EQ(d.epochAt(250), 2u);
-    EXPECT_EQ(d.epochAt(9999), 2u);
-    EXPECT_EQ(d.epoch(), 2u);
 }
 
 TEST(TsDomain, ConfigurableWidthAndLease)

@@ -1,8 +1,8 @@
 /**
  * Hot-path equivalence: the data-oriented per-cycle core must be
  * provably behavior-preserving. Every run of the pinned
- * configurations below — across fast_forward off/on, shards 1/2 and
- * the active-set scheduler on/off (8 combinations) — must reproduce,
+ * configurations below — across fast_forward off/on and the
+ * active-set scheduler on/off (4 combinations) — must reproduce,
  * bit for bit, the artifacts the pre-refactor seed produced: the
  * full stat dump, trace.json, timeline.csv and transcript.txt.
  *
@@ -25,7 +25,7 @@
  *     obs.trace_dir=DIR --stats
  *
  * Store everything after the first (summary) line of stdout as
- * goldens/<name>.stats.txt and DIR/*.timeline.csv as
+ * goldens/<name>.stats.txt and the .timeline.csv file in DIR as
  * goldens/<name>.timeline.csv, then refresh the four MANIFEST.txt
  * rows of the cell ("<name> <kind> <bytes> <fnv64-hex>" for stats,
  * trace, timeline, transcript), explaining the change in your commit.
@@ -80,7 +80,7 @@ struct GoldenEntry
     std::uint64_t hash = 0;
 };
 
-/** MANIFEST.txt rows: "<workload> <kind> <size> <fnv64-hex>". */
+/** MANIFEST.txt rows: "<cell> <kind> <size> <fnv64-hex>". */
 std::map<std::string, GoldenEntry>
 loadManifest()
 {
@@ -128,7 +128,6 @@ cellNamed(const std::string &name)
 struct Setting
 {
     bool fastForward;
-    int shards;
     bool activeSet;
 };
 
@@ -151,26 +150,16 @@ TEST_P(HotPathEquivalence, BitIdenticalToSeed)
         slurp(fs::path(GTSC_GOLDEN_DIR) / (wl + ".timeline.csv"));
 
     const Setting kSettings[] = {
-        {false, 1, false}, {true, 1, false},
-        {false, 2, false}, {true, 2, false},
-        {false, 1, true},  {true, 1, true},
-        {false, 2, true},  {true, 2, true}};
+        {false, false}, {true, false}, {false, true}, {true, true}};
 
     for (const Setting &s : kSettings) {
-        // The sharded active-set loop ends bfs's first kernel late
-        // (7970 total cycles against the serial loops' 7957), so it
-        // is no reference for this cell.
-        if (wl == "bfs" && s.shards > 1 && s.activeSet)
-            continue;
         SCOPED_TRACE(std::string("fast_forward=") +
                      (s.fastForward ? "on" : "off") +
-                     " shards=" + std::to_string(s.shards) +
                      " active_set=" + (s.activeSet ? "on" : "off"));
 
         fs::path dir = fs::temp_directory_path() /
                        ("gtsc_hot_path_eq_" + wl + "_" +
                         std::to_string(s.fastForward) + "_" +
-                        std::to_string(s.shards) + "_" +
                         std::to_string(s.activeSet));
         fs::remove_all(dir);
 
@@ -180,7 +169,6 @@ TEST_P(HotPathEquivalence, BitIdenticalToSeed)
         cfg.setInt("gpu.num_partitions", 2);
         cfg.setDouble("wl.scale", 0.5);
         cfg.setBool("gpu.fast_forward", s.fastForward);
-        cfg.setInt("gpu.shards", s.shards);
         cfg.setBool("gpu.active_set", s.activeSet);
         if (cell.tsBits != 0)
             cfg.setInt("gtsc.ts_bits", cell.tsBits);
@@ -191,8 +179,9 @@ TEST_P(HotPathEquivalence, BitIdenticalToSeed)
         harness::RunResult r =
             harness::runOne(cfg, cell.protocol, "rc", cell.workload);
         // The narrow-timestamp cell exists to cover resets.
-        if (cell.tsBits != 0)
+        if (cell.tsBits != 0) {
             EXPECT_GT(r.tsResets, 0u);
+        }
 
         // Full stat dump, byte for byte.
         EXPECT_EQ(r.stats.toString(), goldStats);

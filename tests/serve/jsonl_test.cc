@@ -96,7 +96,7 @@ TEST(Jsonl, AsStringCoercions)
     EXPECT_EQ(parseOk("true").asString(), "true");
     EXPECT_EQ(parseOk("false").asString(), "false");
     // Integral numbers must coerce without a decimal point, so
-    // {"jobs": 4} and "sim.max_cycles": 20000 work as config values.
+    // {"jobs": 4} and "gpu.max_cycles": 20000 work as config values.
     EXPECT_EQ(parseOk("4").asString(), "4");
     EXPECT_EQ(parseOk("20000").asString(), "20000");
     EXPECT_EQ(parseOk("null").asString(), "");

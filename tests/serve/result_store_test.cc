@@ -91,7 +91,6 @@ sampleResult()
     r.loadsChecked = 1000;
     r.verified = true;
     r.fastForwarded = 500;
-    r.shards = 2;
     r.activitySm = 0.25;
     r.activityL1 = 1.0 / 3.0;
     r.activityL2 = 0.5;

@@ -23,7 +23,7 @@ Examples:
     # cache misses (fresh simulations).
     tools/gtsc_client.py --socket /tmp/gtscd.sock run \
         --cell bh:tc:sc --cell bh:gtsc:rc \
-        --set sim.max_cycles=20000 --expect-misses 2
+        --set gpu.max_cycles=20000 --expect-misses 2
 
 Exit status: 0 on success, 1 on daemon errors or unmet
 --expect-hits / --expect-misses, 2 on usage / connection failure.
