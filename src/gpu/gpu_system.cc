@@ -306,7 +306,7 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
             respWake_ = std::min(respWake_, at);
         });
     }
-    // Deferred-idle accounting clock: in the always-tick loops the
+    // Deferred-idle accounting clock: in the always-tick loop the
     // guard in the SM's completion callbacks is provably dead (now_
     // never lags), so installing it unconditionally keeps one code
     // path.
@@ -442,7 +442,7 @@ GpuSystem::armActiveSet(Cycle at)
 {
     // Loop entry: park nothing, assume everything has work at `at`.
     // Idle components cost one no-op tick and park themselves via
-    // their re-arm horizon, so this mirrors the always-tick loops'
+    // their re-arm horizon, so this mirrors the always-tick loop's
     // first cycle exactly. Min-merge also retires any stale arms a
     // previous kernel left behind.
     for (unsigned s = 0; s < params_.numSms; ++s) {

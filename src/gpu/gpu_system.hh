@@ -66,7 +66,7 @@ class GpuSystem
      * type: ticked / (total cycles * number of components). Under
      * active-set scheduling these drop below 1.0 as components park;
      * with gpu.active_set=0 they measure how much of the run the
-     * always-tick loops executed rather than fast-forwarded. Like
+     * always-tick loop executed rather than fast-forwarded. Like
      * fastForwardedCycles(), diagnostics only — deliberately not
      * StatSet entries, so stat dumps stay bit-identical across
      * scheduler modes.

@@ -377,7 +377,7 @@ class Sm
     /** Scheduler's current cycle (setSchedNow); callbacks catch
      *  now_ up to lag it by one before running. */
     const Cycle *schedNow_ = nullptr;
-    /** Active-set re-arm hook; empty under the always-tick loops. */
+    /** Active-set re-arm hook; empty under the always-tick loop. */
     sim::SmallFunction<void()> wake_;
 
     /** Warps not yet Done/Idle (O(1) allWarpsDone). */

@@ -67,7 +67,7 @@ struct RunResult
      * Per-component-type active-cycle fractions: ticked
      * component-cycles / (simulated cycles * components of that
      * type). Below 1.0 wherever the active-set scheduler
-     * (gpu.active_set) parked components; with the always-tick loops
+     * (gpu.active_set) parked components; with the always-tick loop
      * they measure the executed (non-fast-forwarded) share of the
      * run. Diagnostics like fastForwarded — never part of `stats`.
      */

@@ -147,7 +147,7 @@ class L1Controller
 
   protected:
     /** Notify the scheduler this component has tick() work at `now`
-     *  (no-op when unhooked — the always-tick loops install none). */
+     *  (no-op when unhooked — the always-tick loop installs none). */
     void
     wake(Cycle now)
     {
