@@ -41,6 +41,14 @@ struct LitmusParam
     const char *consistency;
 };
 
+// Names the case in test listings. Without a printer gtest dumps the
+// struct's bytes, whose pointers change the ctest name on every build.
+void
+PrintTo(const LitmusParam &p, std::ostream *os)
+{
+    *os << p.protocol << '/' << p.consistency;
+}
+
 class LitmusMatrix : public ::testing::TestWithParam<LitmusParam>
 {
 };

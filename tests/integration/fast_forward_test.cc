@@ -44,6 +44,14 @@ smallConfig()
     return cfg;
 }
 
+// Names the case in test listings. Without a printer gtest dumps the
+// struct's bytes, whose pointers change the ctest name on every build.
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.protocol << '/' << c.consistency << '/' << c.workload;
+}
+
 class FastForwardEquivalence : public ::testing::TestWithParam<Case>
 {
 };

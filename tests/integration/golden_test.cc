@@ -46,6 +46,14 @@ const Golden kGolden[] = {
     {"gtsc", "tso", "km", 7287, 1664, 361, 719, 16692, 88308, 528},
 };
 
+// Names the case in test listings. Without a printer gtest dumps the
+// struct's bytes, whose pointers change the ctest name on every build.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.protocol << '/' << g.consistency << '/' << g.workload;
+}
+
 class GoldenStats : public ::testing::TestWithParam<Golden>
 {
 };
