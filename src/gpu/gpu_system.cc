@@ -16,11 +16,12 @@ namespace gtsc::gpu
 {
 
 /**
- * Static devirtualized loop bodies, instantiated per concrete
+ * Static devirtualized L1/L2 steps, instantiated per concrete
  * controller type. Each run is homogeneous (one L1 type, one L2
- * type), so one dynamic_cast sweep at construction replaces a
- * virtual dispatch per component per simulated cycle with direct,
- * inlinable calls.
+ * type), so one dynamic_cast sweep at construction replaces two
+ * virtual dispatches per due controller per simulated cycle with
+ * direct, inlinable calls. Instantiating with the base class gives
+ * the virtual-dispatch fallback.
  */
 struct GpuSystem::Devirt
 {
@@ -36,141 +37,21 @@ struct GpuSystem::Devirt
     }
 
     template <typename T>
-    static void
-    tickL1(GpuSystem &g, Cycle c)
-    {
-        for (auto &p : g.l1s_)
-            static_cast<T &>(*p).tick(c);
-    }
-
-    static void
-    tickL1Generic(GpuSystem &g, Cycle c)
-    {
-        for (auto &p : g.l1s_)
-            p->tick(c);
-    }
-
-    template <typename T>
-    static void
-    tickL2(GpuSystem &g, Cycle c)
-    {
-        for (auto &p : g.l2s_)
-            static_cast<T &>(*p).tick(c);
-    }
-
-    static void
-    tickL2Generic(GpuSystem &g, Cycle c)
-    {
-        for (auto &p : g.l2s_)
-            p->tick(c);
-    }
-
-    /** Min horizon over the L1s, bailing once it reaches `floor`. */
-    template <typename T>
     static Cycle
-    horizonL1(const GpuSystem &g, Cycle now, Cycle floor)
+    stepL1(GpuSystem &g, unsigned i, Cycle now)
     {
-        Cycle next = kCycleNever;
-        for (const auto &p : g.l1s_) {
-            next = std::min(
-                next, static_cast<const T &>(*p).nextWorkCycle(now));
-            if (next <= floor)
-                break;
-        }
-        return next;
-    }
-
-    static Cycle
-    horizonL1Generic(const GpuSystem &g, Cycle now, Cycle floor)
-    {
-        Cycle next = kCycleNever;
-        for (const auto &p : g.l1s_) {
-            next = std::min(next, p->nextWorkCycle(now));
-            if (next <= floor)
-                break;
-        }
-        return next;
+        T &l1 = static_cast<T &>(*g.l1s_[i]);
+        l1.tick(now);
+        return l1.nextWorkCycle(now);
     }
 
     template <typename T>
     static Cycle
-    horizonL2(const GpuSystem &g, Cycle now, Cycle floor)
+    stepL2(GpuSystem &g, unsigned i, Cycle now)
     {
-        Cycle next = kCycleNever;
-        for (const auto &p : g.l2s_) {
-            next = std::min(
-                next, static_cast<const T &>(*p).nextWorkCycle(now));
-            if (next <= floor)
-                break;
-        }
-        return next;
-    }
-
-    static Cycle
-    horizonL2Generic(const GpuSystem &g, Cycle now, Cycle floor)
-    {
-        Cycle next = kCycleNever;
-        for (const auto &p : g.l2s_) {
-            next = std::min(next, p->nextWorkCycle(now));
-            if (next <= floor)
-                break;
-        }
-        return next;
-    }
-
-    // Single-component variants: the active-set loops tick only the
-    // ids their wheel popped, so the fan-out loop lives in the caller
-    // and the per-id body devirtualizes here.
-    template <typename T>
-    static void
-    tickOneL1(GpuSystem &g, unsigned i, Cycle c)
-    {
-        static_cast<T &>(*g.l1s_[i]).tick(c);
-    }
-
-    static void
-    tickOneL1Generic(GpuSystem &g, unsigned i, Cycle c)
-    {
-        g.l1s_[i]->tick(c);
-    }
-
-    template <typename T>
-    static void
-    tickOneL2(GpuSystem &g, unsigned i, Cycle c)
-    {
-        static_cast<T &>(*g.l2s_[i]).tick(c);
-    }
-
-    static void
-    tickOneL2Generic(GpuSystem &g, unsigned i, Cycle c)
-    {
-        g.l2s_[i]->tick(c);
-    }
-
-    template <typename T>
-    static Cycle
-    horizonOneL1(const GpuSystem &g, unsigned i, Cycle now)
-    {
-        return static_cast<const T &>(*g.l1s_[i]).nextWorkCycle(now);
-    }
-
-    static Cycle
-    horizonOneL1Generic(const GpuSystem &g, unsigned i, Cycle now)
-    {
-        return g.l1s_[i]->nextWorkCycle(now);
-    }
-
-    template <typename T>
-    static Cycle
-    horizonOneL2(const GpuSystem &g, unsigned i, Cycle now)
-    {
-        return static_cast<const T &>(*g.l2s_[i]).nextWorkCycle(now);
-    }
-
-    static Cycle
-    horizonOneL2Generic(const GpuSystem &g, unsigned i, Cycle now)
-    {
-        return g.l2s_[i]->nextWorkCycle(now);
+        T &l2 = static_cast<T &>(*g.l2s_[i]);
+        l2.tick(now);
+        return l2.nextWorkCycle(now);
     }
 
     template <typename T>
@@ -179,10 +60,7 @@ struct GpuSystem::Devirt
     {
         if (!homogeneous<T>(g.l1s_))
             return false;
-        g.tickL1s_ = &Devirt::tickL1<T>;
-        g.l1Horizon_ = &Devirt::horizonL1<T>;
-        g.tickOneL1_ = &Devirt::tickOneL1<T>;
-        g.oneL1Horizon_ = &Devirt::horizonOneL1<T>;
+        g.stepL1_ = &Devirt::stepL1<T>;
         return true;
     }
 
@@ -192,32 +70,23 @@ struct GpuSystem::Devirt
     {
         if (!homogeneous<T>(g.l2s_))
             return false;
-        g.tickL2s_ = &Devirt::tickL2<T>;
-        g.l2Horizon_ = &Devirt::horizonL2<T>;
-        g.tickOneL2_ = &Devirt::tickOneL2<T>;
-        g.oneL2Horizon_ = &Devirt::horizonOneL2<T>;
+        g.stepL2_ = &Devirt::stepL2<T>;
         return true;
     }
 };
 
 void
-GpuSystem::bindTypedLoops()
+GpuSystem::bindTypedSteps()
 {
-    tickL1s_ = &Devirt::tickL1Generic;
-    l1Horizon_ = &Devirt::horizonL1Generic;
-    tickL2s_ = &Devirt::tickL2Generic;
-    l2Horizon_ = &Devirt::horizonL2Generic;
-    tickOneL1_ = &Devirt::tickOneL1Generic;
-    oneL1Horizon_ = &Devirt::horizonOneL1Generic;
-    tickOneL2_ = &Devirt::tickOneL2Generic;
-    oneL2Horizon_ = &Devirt::horizonOneL2Generic;
     Devirt::bindL1<core::GtscL1>(*this) ||
         Devirt::bindL1<protocols::TcL1>(*this) ||
         Devirt::bindL1<protocols::NonCohL1>(*this) ||
-        Devirt::bindL1<protocols::NoL1>(*this);
+        Devirt::bindL1<protocols::NoL1>(*this) ||
+        Devirt::bindL1<mem::L1Controller>(*this);
     Devirt::bindL2<core::GtscL2>(*this) ||
         Devirt::bindL2<protocols::TcL2>(*this) ||
-        Devirt::bindL2<protocols::SimpleL2>(*this);
+        Devirt::bindL2<protocols::SimpleL2>(*this) ||
+        Devirt::bindL2<mem::L2Controller>(*this);
     reqXbar_ = dynamic_cast<noc::Crossbar *>(reqNet_.get());
     respXbar_ = dynamic_cast<noc::Crossbar *>(respNet_.get());
 }
@@ -229,8 +98,6 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
 {
     maxCycles_ = cfg_.getUint("gpu.max_cycles", 500000000ULL);
     watchdogWindow_ = cfg_.getUint("gpu.watchdog_cycles", 400000ULL);
-    fastForward_ = cfg_.getBool("gpu.fast_forward", true);
-    activeSet_ = cfg_.getBool("gpu.active_set", true);
     flushL2BetweenKernels_ =
         cfg_.getBool("gpu.flush_l2_between_kernels", true);
 
@@ -281,37 +148,28 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
         l1s_[dst]->receiveResponse(std::move(pkt), cycle_);
     });
 
-    if (activeSet_) {
-        l2Wheel_.reset(params_.numPartitions);
-        dramWheel_.reset(params_.numPartitions);
-        due_.reserve(std::max<std::size_t>(params_.numSms,
-                                           params_.numPartitions));
-        smWheel_.reset(params_.numSms);
-        l1Wheel_.reset(params_.numSms);
-        for (unsigned p = 0; p < params_.numPartitions; ++p) {
-            l2s_[p]->setWakeHook(
-                [this, p](Cycle at) { l2Wheel_.arm(p, at); });
-            drams_[p]->setWakeHook(
-                [this, p](Cycle at) { dramWheel_.arm(p, at); });
-        }
-        for (unsigned s = 0; s < params_.numSms; ++s) {
-            l1s_[s]->setWakeHook(
-                [this, s](Cycle at) { l1Wheel_.arm(s, at); });
-            sms_[s]->setWakeHook([this, s] { smWheel_.arm(s, cycle_); });
-        }
-        reqNet_->setWakeHook([this](Cycle at) {
-            reqWake_ = std::min(reqWake_, at);
-        });
-        respNet_->setWakeHook([this](Cycle at) {
-            respWake_ = std::min(respWake_, at);
-        });
+    l2Wheel_.reset(params_.numPartitions);
+    dramWheel_.reset(params_.numPartitions);
+    due_.reserve(
+        std::max<std::size_t>(params_.numSms, params_.numPartitions));
+    smWheel_.reset(params_.numSms);
+    l1Wheel_.reset(params_.numSms);
+    for (unsigned p = 0; p < params_.numPartitions; ++p) {
+        l2s_[p]->setWakeHook([this, p](Cycle at) { l2Wheel_.arm(p, at); });
+        drams_[p]->setWakeHook(
+            [this, p](Cycle at) { dramWheel_.arm(p, at); });
     }
-    // Deferred-idle accounting clock: in the always-tick loop the
-    // guard in the SM's completion callbacks is provably dead (now_
-    // never lags), so installing it unconditionally keeps one code
-    // path.
-    for (auto &sm : sms_)
-        sm->setSchedNow(&cycle_);
+    for (unsigned s = 0; s < params_.numSms; ++s) {
+        l1s_[s]->setWakeHook([this, s](Cycle at) { l1Wheel_.arm(s, at); });
+        sms_[s]->setWakeHook([this, s] { smWheel_.arm(s, cycle_); });
+        // Deferred-idle accounting clock for the SM's completion
+        // callbacks (see Sm::accountThrough).
+        sms_[s]->setSchedNow(&cycle_);
+    }
+    reqNet_->setWakeHook(
+        [this](Cycle at) { reqWake_ = std::min(reqWake_, at); });
+    respNet_->setWakeHook(
+        [this](Cycle at) { respWake_ = std::min(respWake_, at); });
 
     // The networks registered their packet counters above; cache the
     // references so progressToken() avoids two string-hashed lookups
@@ -319,7 +177,7 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     nocReqPackets_ = &stats_.counter("noc.req.packets");
     nocRespPackets_ = &stats_.counter("noc.resp.packets");
 
-    bindTypedLoops();
+    bindTypedSteps();
 }
 
 void
@@ -382,49 +240,12 @@ GpuSystem::progressToken() const
 }
 
 Cycle
-GpuSystem::workHorizon() const
-{
-    // Bail out as soon as the horizon collapses to the next cycle:
-    // on busy cycles (the common case for compute-bound workloads)
-    // the first active SM ends the scan, keeping the hybrid loop's
-    // overhead near zero when it cannot skip anyway.
-    const Cycle floor = cycle_ + 1;
-    Cycle next = kCycleNever;
-    for (const auto &sm : sms_) {
-        next = std::min(next, sm->nextWorkCycle(cycle_));
-        if (next <= floor)
-            return next;
-    }
-    next = std::min(next, l2Horizon_(*this, cycle_, floor));
-    if (next <= floor)
-        return next;
-    next = std::min(next, l1Horizon_(*this, cycle_, floor));
-    if (next <= floor)
-        return next;
-    next = std::min(next, events_.nextEventCycle());
-    if (next <= floor)
-        return next;
-    next = std::min(next, respNet_->nextWorkCycle(cycle_));
-    if (next <= floor)
-        return next;
-    next = std::min(next, reqNet_->nextWorkCycle(cycle_));
-    if (next <= floor)
-        return next;
-    for (const auto &dram : drams_) {
-        next = std::min(next, dram->nextWorkCycle(cycle_));
-        if (next <= floor)
-            return next;
-    }
-    return next;
-}
-
-Cycle
 GpuSystem::activeWorkHorizon() const
 {
-    // Unlike workHorizon(), no per-component nextWorkCycle() probing:
-    // every parked component already deposited its wake cycle in a
-    // wheel (or the scalar net wakes) when it parked, so the horizon
-    // is a handful of mins plus one slot scan per wheel. Exactness of
+    // No per-component nextWorkCycle() probing: every parked
+    // component already deposited its wake cycle in a wheel (or the
+    // scalar net wakes) when it parked, so the horizon is a handful
+    // of mins plus one slot scan per wheel. Exactness of
     // TimeWheel::nextWake() is what licenses the jump: no armed cycle
     // can lie inside the skipped span.
     Cycle next = events_.nextEventCycle();
@@ -442,8 +263,7 @@ GpuSystem::armActiveSet(Cycle at)
 {
     // Loop entry: park nothing, assume everything has work at `at`.
     // Idle components cost one no-op tick and park themselves via
-    // their re-arm horizon, so this mirrors the always-tick loop's
-    // first cycle exactly. Min-merge also retires any stale arms a
+    // their re-arm horizon. Min-merge also retires any stale arms a
     // previous kernel left behind.
     for (unsigned s = 0; s < params_.numSms; ++s) {
         smWheel_.arm(s, at);
@@ -512,152 +332,10 @@ GpuSystem::flushStatWindows()
 }
 
 void
-GpuSystem::runSerialLoop(unsigned kernel)
+GpuSystem::runLoop(unsigned kernel)
 {
     std::uint64_t last_progress = progressToken();
     Cycle last_progress_cycle = cycle_;
-    ffProbeBackoff_ = 1;
-    ffNextProbeAt_ = 0;
-    // Probe skip-rate tracking: when a whole window of recent probes
-    // produced zero jumps (dense no-progress traffic — BFS frontier
-    // expansion, GE back-substitution), raise the backoff cap so the
-    // loop effectively stops re-probing the horizon until either a
-    // probe succeeds or the workload's character changes. Skipped
-    // probes only tick cycles normally; no observable state differs.
-    constexpr unsigned kProbeWindow = 32;
-    Cycle probeCap = 64;
-    unsigned probeAttempts = 0;
-    unsigned probeJumps = 0;
-
-    auto all_done = [this]() {
-        for (const auto &sm : sms_) {
-            if (!sm->allWarpsDone())
-                return false;
-        }
-        return true;
-    };
-
-    bool done = all_done() && quiescent();
-    while (!done) {
-        ++cycle_;
-        if (cycle_ > maxCycles_)
-            GTSC_FATAL("simulation exceeded gpu.max_cycles=", maxCycles_,
-                       " for workload ", workload_.name());
-
-        events_.runUntil(cycle_);
-        tickL2s_(*this, cycle_);
-        if (respXbar_)
-            respXbar_->tick(cycle_);
-        else
-            respNet_->tick(cycle_);
-        if (reqXbar_)
-            reqXbar_->tick(cycle_);
-        else
-            reqNet_->tick(cycle_);
-        tickL1s_(*this, cycle_);
-        for (auto &sm : sms_)
-            sm->tick(cycle_);
-        if (stagedCount_ != 0)
-            flushStagedRequests();
-        for (auto &dram : drams_)
-            dram->tick(cycle_);
-
-        smTickCount_ += params_.numSms;
-        l1TickCount_ += params_.numSms;
-        l2TickCount_ += params_.numPartitions;
-        nocTickCount_ += 2;
-        dramTickCount_ += params_.numPartitions;
-
-        if (timeline_) {
-            // A due sample reads counters by name: batch the
-            // windowed blocks in first so the CSV matches a
-            // live-counting run byte for byte.
-            if (cycle_ >= timeline_->nextSampleAt())
-                flushStatWindows();
-            timeline_->sample(cycle_);
-        }
-
-        std::uint64_t token = progressToken();
-        bool progressed = token != last_progress;
-        if (progressed) {
-            last_progress = token;
-            last_progress_cycle = cycle_;
-            ffProbeBackoff_ = 1;
-            ffNextProbeAt_ = 0;
-        } else if (cycle_ - last_progress_cycle > watchdogWindow_) {
-            GTSC_PANIC("no forward progress for ", watchdogWindow_,
-                       " cycles at cycle ", cycle_, " in workload ",
-                       workload_.name(), " kernel ", kernel);
-        }
-
-        done = all_done() && quiescent();
-        // Only attempt a jump on cycles that made no observable
-        // progress: a cycle that retired instructions or moved
-        // packets is almost always followed by another busy cycle,
-        // so scanning every component for its horizon would be pure
-        // overhead there. Idle stretches announce themselves with a
-        // stale progress token on their first cycle.
-        if (done || progressed || !fastForward_)
-            continue;
-        // Probe backoff: a probe that just answered "work next
-        // cycle" (dense replay or NoC traffic — BFS is the worst
-        // case) predicts the next one will too; skipping the scan
-        // for a doubling span just ticks those cycles normally.
-        if (cycle_ < ffNextProbeAt_)
-            continue;
-
-        // Hybrid fast-forward: when no component has work next
-        // cycle, jump straight to the earliest horizon instead of
-        // ticking through dead cycles. Never skip past the watchdog
-        // deadline or the max-cycles bound, so a hung simulation
-        // fails at exactly the cycle the pure cycle-driven loop
-        // would (a kCycleNever horizon on a non-quiescent machine is
-        // such a hang: it lands on the watchdog deadline and
-        // panics there).
-        Cycle next = workHorizon();
-        Cycle deadline = last_progress_cycle + watchdogWindow_ + 1;
-        next = std::min(next, deadline);
-        next = std::min(next, maxCycles_ + 1);
-        // Never skip a timeline sample cycle: samples must land on
-        // the same cycles with fast-forward on or off.
-        if (timeline_)
-            next = std::min(next, timeline_->nextSampleAt());
-        ++probeAttempts;
-        if (next > cycle_ + 1) {
-            Cycle span = next - cycle_ - 1;
-            for (auto &sm : sms_) {
-                sm->fastForwardStats(span);
-                // Keep the SMs' callback timestamp lagging the loop
-                // by one cycle, as in the pure cycle-driven loop.
-                sm->syncTo(next - 1);
-            }
-            fastForwarded_ += span;
-            cycle_ = next - 1;
-            ffProbeBackoff_ = 1;
-            ++probeJumps;
-            probeCap = 64;
-        } else {
-            ffNextProbeAt_ = cycle_ + 1 + ffProbeBackoff_;
-            ffProbeBackoff_ =
-                std::min<Cycle>(ffProbeBackoff_ * 2, probeCap);
-        }
-        if (probeAttempts >= kProbeWindow) {
-            // Zero jumps over a whole probe window: this busy span
-            // cannot be skipped; stop paying for the scans.
-            probeCap = probeJumps == 0 ? 4096 : 64;
-            probeAttempts = 0;
-            probeJumps = 0;
-        }
-    }
-}
-
-void
-GpuSystem::runActiveSerialLoop(unsigned kernel)
-{
-    std::uint64_t last_progress = progressToken();
-    Cycle last_progress_cycle = cycle_;
-    ffProbeBackoff_ = 1;
-    ffNextProbeAt_ = 0;
 
     auto all_done = [this]() {
         for (const auto &sm : sms_) {
@@ -676,18 +354,17 @@ GpuSystem::runActiveSerialLoop(unsigned kernel)
             GTSC_FATAL("simulation exceeded gpu.max_cycles=", maxCycles_,
                        " for workload ", workload_.name());
 
-        // Same phase order as runSerialLoop, but each family only
-        // ticks the ids its wheel popped. Wakes that land on the
-        // current cycle after a family's pop are clamped to the next
-        // cycle by the wheel — exactly when the always-tick loop
-        // would first observe the new state.
+        // Fixed phase order: events, L2s, response net, request net,
+        // L1s, SMs, staged-request flush, DRAM. Each family ticks only
+        // the ids its wheel popped, ascending. A wake that lands on
+        // the current cycle after its family's pop is clamped to the
+        // next cycle by the wheel, so a component always sees new
+        // work on the first of its phases after the work arrived.
         std::size_t nDue = 0;
         events_.runUntil(cycle_);
         l2Wheel_.popDue(cycle_, due_);
-        for (unsigned p : due_) {
-            tickOneL2_(*this, p, cycle_);
-            l2Wheel_.arm(p, oneL2Horizon_(*this, p, cycle_));
-        }
+        for (unsigned p : due_)
+            l2Wheel_.arm(p, stepL2_(*this, p, cycle_));
         l2TickCount_ += due_.size();
         nDue += due_.size();
         if (respWake_ <= cycle_) {
@@ -713,10 +390,8 @@ GpuSystem::runActiveSerialLoop(unsigned kernel)
             ++nDue;
         }
         l1Wheel_.popDue(cycle_, due_);
-        for (unsigned s : due_) {
-            tickOneL1_(*this, s, cycle_);
-            l1Wheel_.arm(s, oneL1Horizon_(*this, s, cycle_));
-        }
+        for (unsigned s : due_)
+            l1Wheel_.arm(s, stepL1_(*this, s, cycle_));
         l1TickCount_ += due_.size();
         nDue += due_.size();
         smWheel_.popDue(cycle_, due_);
@@ -741,6 +416,8 @@ GpuSystem::runActiveSerialLoop(unsigned kernel)
         nDue += due_.size();
 
         if (timeline_) {
+            // A due sample reads counters by name: catch the parked
+            // SMs up and batch the windowed blocks in first.
             if (cycle_ >= timeline_->nextSampleAt()) {
                 accountSmsThrough(cycle_);
                 flushStatWindows();
@@ -749,12 +426,9 @@ GpuSystem::runActiveSerialLoop(unsigned kernel)
         }
 
         std::uint64_t token = progressToken();
-        bool progressed = token != last_progress;
-        if (progressed) {
+        if (token != last_progress) {
             last_progress = token;
             last_progress_cycle = cycle_;
-            ffProbeBackoff_ = 1;
-            ffNextProbeAt_ = 0;
         } else if (cycle_ - last_progress_cycle > watchdogWindow_) {
             GTSC_PANIC("no forward progress for ", watchdogWindow_,
                        " cycles at cycle ", cycle_, " in workload ",
@@ -762,33 +436,25 @@ GpuSystem::runActiveSerialLoop(unsigned kernel)
         }
 
         done = all_done() && quiescent();
-        if (done || progressed || !fastForward_)
-            continue;
-        // A cycle that ticked anything is almost always followed by
-        // another one with due work, and the fast-forward jump is the
-        // degenerate "nothing due" case here — so only probe the
-        // horizon on completely dead cycles (this is what removes the
-        // always-tick loop's BFS/GE probing regression structurally).
-        if (nDue != 0 || cycle_ < ffNextProbeAt_)
+        if (done || nDue != 0)
             continue;
 
+        // Nothing was due: jump to the earliest armed or queued work.
+        // Never past the watchdog deadline or the max-cycles bound, so
+        // a hung simulation fails at exactly the cycle it would by
+        // ticking (a machine with nothing armed that is not done is
+        // such a hang: it lands on the watchdog deadline and panics
+        // there), and never past a timeline sample cycle. No per-SM
+        // work here: parked SMs account the skipped span lazily
+        // (accountThrough) when they next tick, sample, or the kernel
+        // ends.
         Cycle next = activeWorkHorizon();
-        Cycle deadline = last_progress_cycle + watchdogWindow_ + 1;
-        next = std::min(next, deadline);
+        next = std::min(next, last_progress_cycle + watchdogWindow_ + 1);
         next = std::min(next, maxCycles_ + 1);
         if (timeline_)
             next = std::min(next, timeline_->nextSampleAt());
-        if (next > cycle_ + 1) {
-            // No per-SM stat work here: parked SMs account the
-            // skipped span lazily (accountThrough) when they next
-            // tick, sample, or the kernel ends.
-            fastForwarded_ += next - cycle_ - 1;
-            cycle_ = next - 1;
-            ffProbeBackoff_ = 1;
-        } else {
-            ffNextProbeAt_ = cycle_ + 1 + ffProbeBackoff_;
-            ffProbeBackoff_ = std::min<Cycle>(ffProbeBackoff_ * 2, 64);
-        }
+        fastForwarded_ += next - cycle_ - 1;
+        cycle_ = next - 1;
     }
     accountSmsThrough(cycle_);
 }
@@ -813,10 +479,7 @@ GpuSystem::runKernel(unsigned kernel)
         sms_[s]->launchKernel(std::move(programScratch_));
     }
 
-    if (activeSet_)
-        runActiveSerialLoop(kernel);
-    else
-        runSerialLoop(kernel);
+    runLoop(kernel);
 
     // Kernel boundary: GPUs flush private caches (Section V-D).
     for (auto &l1 : l1s_)

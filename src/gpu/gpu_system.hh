@@ -54,22 +54,17 @@ class GpuSystem
     Cycle cycle() const { return cycle_; }
 
     /**
-     * Simulated cycles the hybrid main loop skipped instead of
-     * ticking (0 with gpu.fast_forward=false). Deliberately not a
-     * StatSet entry: stat dumps must be bit-identical with the knob
-     * on and off.
+     * Simulated cycles the main loop jumped over because no
+     * component was due. Deliberately not a StatSet entry: it counts
+     * host work saved, not anything simulated.
      */
     std::uint64_t fastForwardedCycles() const { return fastForwarded_; }
 
     /**
      * Fraction of component-cycles actually ticked, per component
-     * type: ticked / (total cycles * number of components). Under
-     * active-set scheduling these drop below 1.0 as components park;
-     * with gpu.active_set=0 they measure how much of the run the
-     * always-tick loop executed rather than fast-forwarded. Like
-     * fastForwardedCycles(), diagnostics only — deliberately not
-     * StatSet entries, so stat dumps stay bit-identical across
-     * scheduler modes.
+     * type: ticked / (total cycles * number of components). They
+     * drop below 1.0 as components park. Like fastForwardedCycles(),
+     * diagnostics only — deliberately not StatSet entries.
      */
     struct ActivityFractions
     {
@@ -88,7 +83,7 @@ class GpuSystem
      * issueSlotsUsed / (smTicksExecuted * issue width) is the issue
      * utilization the single-thread bench records; packets /
      * nocTicksExecuted is its pops-per-tick figure. Never StatSet
-     * entries — stat dumps stay identical across scheduler modes.
+     * entries.
      */
     std::uint64_t issueSlotsUsed() const;
     std::uint64_t smTicksExecuted() const { return smTickCount_; }
@@ -98,8 +93,8 @@ class GpuSystem
      * Wire an observability session into every component: tracer
      * tracks for SMs, L1s, L2s, NoCs and DRAM channels, the protocol
      * transcript at the two network delivery points, and the stat
-     * timeline (whose sample cycles the fast-forward jump never
-     * skips, so timelines are identical with the knob on or off).
+     * timeline (whose sample cycles the main loop's jump never
+     * skips).
      */
     void attachObs(obs::Session &session);
 
@@ -116,30 +111,25 @@ class GpuSystem
 
   private:
     /**
-     * Devirtualized fan-outs over the homogeneous controller arrays
-     * (data-oriented hot path). A run instantiates exactly one
-     * concrete L1 type and one concrete L2 type; bindTypedLoops()
-     * detects them once at construction and binds loops that call
-     * tick()/nextWorkCycle() on the concrete class directly (the
-     * classes are final, so the calls devirtualize and inline).
-     * Unknown types fall back to virtual-dispatch loops.
+     * Devirtualized L1/L2 steps (data-oriented hot path). A run
+     * instantiates exactly one concrete L1 type and one concrete L2
+     * type; bindTypedSteps() detects them once at construction and
+     * binds steps that call tick()/nextWorkCycle() on the concrete
+     * class directly (the classes are final, so the calls
+     * devirtualize and inline). Unknown types fall back to virtual
+     * dispatch. A step ticks controller `i` at `now` and returns its
+     * re-arm horizon.
      */
     struct Devirt;
-    using TickLoopFn = void (*)(GpuSystem &, Cycle);
-    using HorizonLoopFn = Cycle (*)(const GpuSystem &, Cycle, Cycle);
-    /** Single-component variants for the active-set loops, which tick
-     * only the ids a wheel popped instead of sweeping the array. */
-    using TickOneFn = void (*)(GpuSystem &, unsigned, Cycle);
-    using HorizonOneFn = Cycle (*)(const GpuSystem &, unsigned, Cycle);
-    void bindTypedLoops();
+    using StepFn = Cycle (*)(GpuSystem &, unsigned i, Cycle now);
+    void bindTypedSteps();
 
     bool quiescent() const;
     void runKernel(unsigned kernel);
-    void runSerialLoop(unsigned kernel);
-    // Active-set twin (gpu.active_set=1, the default): identical
-    // per-cycle phase order, but each component family is driven off
-    // a TimeWheel and only due ids are ticked. See DESIGN.md §9.
-    void runActiveSerialLoop(unsigned kernel);
+    /** The main loop: a fixed per-cycle phase order over the due ids
+     * of each component family's TimeWheel, jumping over cycles where
+     * nothing is due. See DESIGN.md §7. */
+    void runLoop(unsigned kernel);
     /** Arm every component at `at` (loop entry: nothing is parked
      * yet; idle components park themselves on their first tick). */
     void armActiveSet(Cycle at);
@@ -163,14 +153,6 @@ class GpuSystem
      */
     void flushStatWindows();
 
-    /**
-     * Minimum of every component's nextWorkCycle() and the event
-     * queue: the earliest future cycle at which ticking can do
-     * anything observable. kCycleNever when the machine is fully
-     * quiescent.
-     */
-    Cycle workHorizon() const;
-
     sim::Config cfg_;
     GpuParams params_;
     ProtocolBuilder &builder_;
@@ -191,15 +173,9 @@ class GpuSystem
     std::unique_ptr<noc::Network> reqNet_;
     std::unique_ptr<noc::Network> respNet_;
 
-    // Typed loops bound by bindTypedLoops(); see Devirt.
-    TickLoopFn tickL1s_ = nullptr;
-    TickLoopFn tickL2s_ = nullptr;
-    HorizonLoopFn l1Horizon_ = nullptr;
-    HorizonLoopFn l2Horizon_ = nullptr;
-    TickOneFn tickOneL1_ = nullptr;
-    TickOneFn tickOneL2_ = nullptr;
-    HorizonOneFn oneL1Horizon_ = nullptr;
-    HorizonOneFn oneL2Horizon_ = nullptr;
+    // Typed steps bound by bindTypedSteps(); see Devirt.
+    StepFn stepL1_ = nullptr;
+    StepFn stepL2_ = nullptr;
     /** Non-null when the nets are Crossbars (the default topology);
      * lets the cycle loop call their O(1) tick/horizon directly. */
     noc::Crossbar *reqXbar_ = nullptr;
@@ -217,23 +193,11 @@ class GpuSystem
     obs::StatTimeline *timeline_ = nullptr;
     Cycle maxCycles_;
     Cycle watchdogWindow_;
-    bool fastForward_;
     /** Cached knob: the config lookup allocates (long key). */
     bool flushL2BetweenKernels_;
     std::uint64_t fastForwarded_ = 0;
-    /**
-     * Horizon-probe backoff: when a probe on a no-progress cycle
-     * comes back "work next cycle" (dense replay/NoC traffic, e.g.
-     * BFS), skip probing for a doubling number of no-progress cycles
-     * (capped) before trying again. A skipped probe just means those
-     * cycles are ticked normally, which is always correct; only the
-     * fastForwardedCycles() diagnostic can differ.
-     */
-    Cycle ffProbeBackoff_ = 1;
-    Cycle ffNextProbeAt_ = 0;
 
-    // --- active-set scheduling state (gpu.active_set) ---
-    bool activeSet_;
+    // --- active-set scheduling state ---
     sim::TimeWheel smWheel_, l1Wheel_;
     sim::TimeWheel l2Wheel_, dramWheel_;
     std::vector<std::uint32_t> due_; ///< popDue scratch

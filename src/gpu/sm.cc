@@ -52,10 +52,10 @@ Sm::Sm(SmId id, const GpuParams &params, const sim::Config &cfg,
     fenceStallCycles_ = &stats_.counter("sm.fence_stall_warp_cycles");
 
     // Callbacks must observe a now_ lagging the loop cycle by one.
-    // Under active-set scheduling a parked SM's now_ can lag further;
-    // catch up the skipped (provably idle) cycles first, using the
-    // pre-callback stall classification, then re-arm so the tick
-    // phase of the current cycle processes the new warp state.
+    // A parked SM's now_ can lag further; catch up the skipped
+    // (provably idle) cycles first, using the pre-callback stall
+    // classification, then re-arm so the tick phase of the current
+    // cycle processes the new warp state.
     l1_.setLoadDone(
         [this](const mem::Access &a, const mem::AccessResult &r) {
             if (schedNow_ && now_ + 1 < *schedNow_)
@@ -174,8 +174,9 @@ Sm::retire(unsigned w)
 }
 
 void
-Sm::tickFull(Cycle now)
+Sm::tick(Cycle now)
 {
+    now_ = now;
     // Wake timed and fence-blocked warps; retry store-buffer drains
     // that were structurally rejected. Both passes walk only the set
     // bits of the packed masks; the fat WarpCtx is touched for the
@@ -274,12 +275,12 @@ Sm::tickFull(Cycle now)
         bucket = &win_.idleCycles;
     ++(*bucket);
 
-    // Cache the end-of-tick classification and horizon so the rest
-    // of the stall/idle stretch costs O(1) per cycle: until an L1
+    // Cache the end-of-tick classification and horizon so the parked
+    // stretch that follows costs O(1) to account: until an L1
     // callback mutates a warp (invalidateTickCache) or the horizon
     // arrives, a repeat of this pass could neither issue, wake a
     // warp, nor submit a buffered store — only the accounting above
-    // would run, and the fast path in tick() replays exactly that.
+    // would run, and fastForwardStats replays exactly that.
     cachedStallBucket_ = bucket;
     cachedWaitFence_ = wait_fence;
     horizonValid_ = false;
@@ -338,11 +339,11 @@ Sm::computeNextWork(Cycle now) const
 void
 Sm::fastForwardStats(Cycle span)
 {
-    // Fast path: the cached no-issue classification (same validity
-    // as tick()'s O(1) path — warp state untouched since it was
-    // computed) already names the bucket and the fence count, so a
-    // bulk span is two additions. This is what keeps the active-set
-    // scheduler's deferred catch-up O(1) per parked SM.
+    // Fast path: the cached no-issue classification (valid while
+    // warp state is untouched since it was computed) already names
+    // the bucket and the fence count, so a bulk span is two
+    // additions. This is what keeps the main loop's deferred
+    // catch-up O(1) per parked SM.
     if (idleTickValid_) {
         win_.fenceStallCycles +=
             static_cast<std::uint64_t>(cachedWaitFence_) * span;
@@ -369,12 +370,10 @@ Sm::fastForwardStats(Cycle span)
         bucket = &win_.idleCycles;
     *bucket += span;
     // Re-establish the classification cache so the rest of the
-    // parked stretch takes the fast path. Only safe when the cached
-    // horizon is also valid (tick()'s fast path reads it).
+    // parked stretch takes the fast path.
     cachedStallBucket_ = bucket;
     cachedWaitFence_ = wait_fence;
-    if (horizonValid_)
-        idleTickValid_ = true;
+    idleTickValid_ = true;
 }
 
 bool

@@ -52,24 +52,12 @@ class Sm
     launchKernel(std::vector<std::unique_ptr<WarpProgram>> &&programs);
 
     /**
-     * Advance one cycle: wake warps, issue, account stalls. O(1) on
-     * stall/idle cycles: when the cached horizon proves no warp can
-     * issue, wake or retry at `now` (and no L1 callback has touched
-     * warp state since it was computed), the tick reduces to the
-     * exact per-cycle accounting the full pass would have done — one
-     * stall-bucket increment and the per-warp fence-stall counter.
+     * Advance one cycle: wake warps, issue, account stalls. The main
+     * loop calls it only at the SM's own horizon or after an L1
+     * callback woke it; skipped cycles are accounted in bulk
+     * (accountThrough).
      */
-    void
-    tick(Cycle now)
-    {
-        now_ = now;
-        if (idleTickValid_ && now < cachedNextWork_) {
-            win_.fenceStallCycles += cachedWaitFence_;
-            ++(*cachedStallBucket_);
-            return;
-        }
-        tickFull(now);
-    }
+    void tick(Cycle now);
 
     /**
      * Earliest future cycle at which tick() could issue, wake a warp
@@ -90,25 +78,17 @@ class Sm
     void fastForwardStats(Cycle span);
 
     /**
-     * Advance the cached callback timestamp after a fast-forward
-     * jump. L1 completion callbacks (which fire from the event queue
-     * and network delivery, *before* this SM's tick on a given
-     * cycle) read now_, so it must lag the loop cycle by exactly one
-     * — as it does when every cycle is ticked. A spin-load backoff
-     * computed from a now_ that lags by the whole skipped span would
-     * retry earlier than the pure cycle-driven loop.
-     */
-    void syncTo(Cycle now) { now_ = now; }
-
-    /**
-     * Deferred catch-up for the active-set scheduler: account every
-     * skipped parked cycle in (now_, upto] as fastForwardStats()
-     * would and advance now_ to upto. Valid exactly when the SM was
-     * parked through that range — the scheduler never jumps past an
-     * armed cycle, so a parked SM's horizon always exceeds it. Called
-     * before a due tick, before anything samples this SM's counters
-     * (timeline, span end, loop exit), and from the L1 completion
-     * callbacks so they observe a now_ lagging the loop by one cycle.
+     * Deferred catch-up for a parked SM: account every skipped cycle
+     * in (now_, upto] as fastForwardStats() would and advance now_
+     * to upto. Valid exactly when the SM was parked through that
+     * range — the main loop never jumps past an armed cycle, so a
+     * parked SM's horizon always exceeds it. Called before a due
+     * tick, before anything samples this SM's counters (timeline,
+     * loop exit), and from the L1 completion callbacks, which fire
+     * from the event queue and network delivery *before* this SM's
+     * tick on a given cycle and so must observe a now_ lagging the
+     * loop by exactly one cycle (a spin-load backoff computed from a
+     * staler now_ would retry early).
      */
     void
     accountThrough(Cycle upto)
@@ -121,9 +101,8 @@ class Sm
 
     /**
      * Point this SM at its scheduler's current-cycle counter
-     * (GpuSystem::cycle_). The completion callbacks catch up skipped parked
-     * cycles against it before processing; with the always-tick
-     * loops now_ never lags, so the catch-up is a dead branch.
+     * (GpuSystem::cycle_). The completion callbacks catch up skipped
+     * parked cycles against it before processing.
      */
     void setSchedNow(const Cycle *sched) { schedNow_ = sched; }
 
@@ -139,8 +118,7 @@ class Sm
 
     /**
      * Opt into warp issue/stall/resume event tracing. Events are
-     * only recorded at state transitions (which happen on identical
-     * cycles with fast-forward on or off), never per idle cycle.
+     * only recorded at state transitions, never per idle cycle.
      */
     void attachTracer(obs::Tracer &tracer);
 
@@ -229,16 +207,13 @@ class Sm
         }
     };
 
-    /** Full tick pass (wake, issue, classify); see tick(). */
-    void tickFull(Cycle now);
-
     /** Horizon scan over all warps (the uncached nextWorkCycle). */
     Cycle computeNextWork(Cycle now) const;
 
     /**
      * Drop the cached horizon/stall classification. Called wherever
-     * warp state changes outside the full tick pass itself: kernel
-     * launch and the L1 completion callbacks.
+     * warp state changes outside the tick pass itself: kernel launch
+     * and the L1 completion callbacks.
      */
     void
     invalidateTickCache()
@@ -354,7 +329,7 @@ class Sm
     // are ctz scans over readyMask_|retryMask_, and the no-issue
     // classification is four popcount/any queries. The byte arrays
     // stay authoritative for everything cold (mask↔vector
-    // equivalence invariant, DESIGN.md §10).
+    // equivalence invariant, DESIGN.md §9).
     sim::BitMask readyMask_;
     sim::BitMask waitComputeMask_;
     sim::BitMask waitMemMask_;
@@ -377,20 +352,21 @@ class Sm
     /** Scheduler's current cycle (setSchedNow); callbacks catch
      *  now_ up to lag it by one before running. */
     const Cycle *schedNow_ = nullptr;
-    /** Active-set re-arm hook; empty under the always-tick loop. */
+    /** Main-loop re-arm hook (setWakeHook). */
     sim::SmallFunction<void()> wake_;
 
     /** Warps not yet Done/Idle (O(1) allWarpsDone). */
     unsigned liveWarps_ = 0;
 
-    // --- cached tick/horizon state (data-oriented hot path) ---
+    // --- cached horizon/stall state (data-oriented hot path) ---
     // Valid while no warp state has changed since it was computed:
-    // the full tick pass refreshes it after a no-issue cycle, and
-    // every external mutation point calls invalidateTickCache().
+    // the tick pass refreshes it after a no-issue cycle, and every
+    // external mutation point calls invalidateTickCache().
     /** Cached nextWorkCycle() result (absolute cycle). */
     mutable Cycle cachedNextWork_ = 0;
     mutable bool horizonValid_ = false;
-    /** The no-issue classification caches below are usable. */
+    /** The no-issue classification caches below are usable (the
+     *  O(1) path of fastForwardStats). */
     bool idleTickValid_ = false;
     /** Stall bucket the classification chose (idle/compute/mem);
      *  points into win_. */

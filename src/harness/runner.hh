@@ -57,19 +57,17 @@ struct RunResult
     bool verified = false;
 
     /**
-     * Cycles the hybrid main loop skipped instead of ticking (0 when
-     * gpu.fast_forward=false). Reported separately from `stats` so
-     * stat dumps stay bit-identical with the knob on and off.
+     * Cycles the main loop jumped over because no component was due.
+     * Reported separately from `stats`: it counts host work saved,
+     * not anything simulated.
      */
     std::uint64_t fastForwarded = 0;
 
     /**
      * Per-component-type active-cycle fractions: ticked
      * component-cycles / (simulated cycles * components of that
-     * type). Below 1.0 wherever the active-set scheduler
-     * (gpu.active_set) parked components; with the always-tick loop
-     * they measure the executed (non-fast-forwarded) share of the
-     * run. Diagnostics like fastForwarded — never part of `stats`.
+     * type). Below 1.0 wherever the main loop parked components.
+     * Diagnostics like fastForwarded — never part of `stats`.
      */
     double activitySm = 0.0;
     double activityL1 = 0.0;

@@ -18,48 +18,47 @@
 #include "sim/small_function.hh"
 #include "sim/types.hh"
 
-// Horizon contract (hybrid cycle/event main loop)
-// -----------------------------------------------
+// Horizon contract (main loop, DESIGN.md §7)
+// ------------------------------------------
 // Every ticked component reports, via nextWorkCycle(now), the
 // earliest future cycle at which its tick() could do anything
 // observable: change state, accept or emit a packet, or mutate a
 // statistic (per-cycle occupancy counters included). The GPU main
-// loop skips straight to the minimum horizon when every component is
-// idle, so the contract is strict:
+// loop parks the component until that cycle and jumps straight to
+// the earliest one when nothing is due, so the contract is strict:
 //
 //  - The returned cycle must be > now (kCycleNever when the
 //    component is fully quiescent and only external input — a
 //    delivered packet, an event-queue callback — can wake it).
 //  - It must be conservative: ticking the component at any cycle in
 //    (now, horizon) must be a no-op, including stat updates.
-//  - It need not be tight, but every cycle it defers is a cycle the
-//    simulator cannot skip; returning now + 1 is always correct and
-//    simply disables fast-forward while the condition holds.
+//  - It need not be tight: a horizon before the real work only costs
+//    no-op ticks. Returning now + 1 is always correct and simply
+//    keeps the component ticking while the condition holds.
 //
 // Work that completes through the shared EventQueue does not need to
 // be reported: the main loop folds events_.nextEventCycle() into the
 // same minimum.
 //
-// Wake contract (active-set scheduling, DESIGN.md §9)
-// ----------------------------------------------------
-// With gpu.active_set=1 the main loop goes further: a component is
-// ticked *only* on cycles where it has work. After each tick it is
-// parked and re-armed at its nextWorkCycle() horizon; between those
-// cycles it is never ticked at all. A parked component can acquire
-// work earlier than its horizon only through an external entry point
-// — receiveRequest/receiveResponse/access, a network inject, a DRAM
-// push — or through one of its own event-queue callbacks. Every such
-// path that can create tick() work must call the wake hook with the
-// current cycle:
+// Wake contract (main loop, DESIGN.md §7)
+// ---------------------------------------
+// A component is ticked *only* on cycles where it has work. After
+// each tick it is parked and re-armed at its nextWorkCycle()
+// horizon; between those cycles it is never ticked at all. A parked
+// component can acquire work earlier than its horizon only through
+// an external entry point — receiveRequest/receiveResponse/access, a
+// network inject, a DRAM push — or through one of its own
+// event-queue callbacks. Every such path that can create tick() work
+// must call the wake hook with the current cycle:
 //
 //  - Waking is min-merged: waking an already-armed component at a
 //    later cycle is a no-op, so wake sites may fire eagerly and
 //    redundantly. An unnecessary wake costs one no-op tick; a missed
-//    wake silently diverges from the always-tick loop (the
-//    equivalence goldens catch it).
+//    wake leaves work unticked and changes results (the hot-path
+//    goldens catch it).
 //  - A wake at the current cycle ticks the component this cycle if
-//    its phase has not run yet, else next cycle — exactly when the
-//    always-tick loop would next tick it with the new state visible.
+//    its phase has not run yet, else next cycle — the first of its
+//    phases after the new state became visible.
 //  - Entry points that only schedule event-queue callbacks (and
 //    create no tick() work) need no wake; the loop runs the event
 //    queues every cycle it executes and folds nextEventCycle() into
@@ -147,7 +146,7 @@ class L1Controller
 
   protected:
     /** Notify the scheduler this component has tick() work at `now`
-     *  (no-op when unhooked — the always-tick loop installs none). */
+     *  (no-op when unhooked, as in unit tests that tick directly). */
     void
     wake(Cycle now)
     {

@@ -76,10 +76,9 @@ class Network
     /**
      * Log every delivered coherence message into a protocol
      * transcript. Delivery is the one point all protocol traffic
-     * funnels through, so the per-line history is complete and its
-     * order is identical with fast-forward on or off. `response`
-     * tells the network whether pkt.src (false) or pkt.part (true)
-     * names the sender.
+     * funnels through, so the per-line history is complete and in
+     * delivery order. `response` tells the network whether pkt.src
+     * (false) or pkt.part (true) names the sender.
      */
     virtual void
     attachTranscript(obs::Transcript &transcript, bool response)

@@ -8,8 +8,8 @@
  * series. Export is CSV (one row per interval, per-interval deltas)
  * or JSON. Sampling only happens when the subsystem is enabled, so
  * there is no steady-state cost when off; the GPU main loop clamps
- * fast-forward jumps at sample boundaries so the series is identical
- * with `gpu.fast_forward` on or off.
+ * its jumps over idle cycles at sample boundaries, so every sample
+ * lands on its cycle.
  */
 
 #ifndef GTSC_OBS_TIMELINE_HH_
@@ -45,8 +45,8 @@ class StatTimeline
     Cycle interval() const { return interval_; }
 
     /**
-     * Cycle the next sample is due at. The main loop must not skip
-     * past this while fast-forwarding.
+     * Cycle the next sample is due at. The main loop must not jump
+     * past this.
      */
     Cycle nextSampleAt() const { return nextAt_; }
 

@@ -23,7 +23,7 @@ namespace fs = std::filesystem;
 namespace gtsc::serve
 {
 
-const char *const kStoreCodeVersion = "no-shards";
+const char *const kStoreCodeVersion = "one-loop";
 
 namespace
 {

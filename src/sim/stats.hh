@@ -26,8 +26,7 @@ namespace gtsc::sim
  * The reservoir is a deterministic systematic subsample: every
  * 2^k-th sample is kept, and when the fixed buffer fills, every
  * other retained sample is dropped and the stride doubles. No RNG,
- * so runs (and the fast-forward equivalence tests) stay
- * bit-reproducible.
+ * so runs (and the goldens that pin them) stay bit-reproducible.
  */
 class Distribution
 {

@@ -7,9 +7,9 @@
  * re-arming an already-armed id at a later cycle is a no-op, so wake
  * sources can fire eagerly without coordinating. popDue(now) returns
  * every id due at or before `now` — ascending, so callers tick due
- * components in the same order the always-tick loop would — and
- * disarms them; a component re-arms itself after its tick from its
- * nextWorkCycle() horizon.
+ * components in component-index order — and disarms them; a
+ * component re-arms itself after its tick from its nextWorkCycle()
+ * horizon.
  *
  * Near arms (within `span` cycles of the drain frontier) link into a
  * power-of-two bucket ring indexed by cycle; far arms go to an
@@ -82,8 +82,8 @@ class TimeWheel
      * Request a wake at `when` (min-merged with any earlier arm).
      * Arms at or before the drain frontier become due at the next
      * popDue() call — waking a component "now" after its phase has
-     * passed this cycle naturally defers to the next cycle, exactly
-     * when the always-tick loop would next tick it.
+     * passed this cycle naturally defers to the next cycle, the first
+     * of its phases after the work arrived.
      */
     void arm(std::uint32_t id, Cycle when)
     {
@@ -165,8 +165,8 @@ class TimeWheel
 
     /**
      * Exact earliest armed cycle (kCycleNever when all parked).
-     * Linear in the member count — called only when the main loop
-     * weighs a fast-forward jump, not on busy cycles.
+     * Linear in the member count — called only on cycles where the
+     * main loop ticked nothing and weighs a jump.
      */
     Cycle nextWake() const
     {
