@@ -397,8 +397,8 @@ BENCHMARK(BM_CheckerTsLoad);
 void
 BM_TimeWheelParkWake(benchmark::State &state)
 {
-    // Steady-state cost of the active-set scheduler's park/wake
-    // round trip (DESIGN.md §9): one member re-arms a few cycles
+    // Steady-state cost of the main loop's park/wake round trip
+    // (DESIGN.md §7): one member re-arms a few cycles
     // out, pops due, repeat — the per-tick overhead every scheduled
     // component pays. Stays on the preallocated bucket ring; the
     // loop must never touch the allocator.
