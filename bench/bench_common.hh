@@ -10,6 +10,8 @@
 #define GTSC_BENCH_BENCH_COMMON_HH_
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -80,6 +82,25 @@ exitOnError(const std::exception &e)
 }
 
 /**
+ * Parse a --jobs value: a whole decimal number (0 = default), or exit
+ * 2 with "<program>: bad --jobs value '<text>'".
+ */
+inline unsigned
+parseJobs(const std::string &text)
+{
+    errno = 0;
+    char *end = nullptr;
+    unsigned long jobs = std::strtoul(text.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || jobs > UINT_MAX) {
+        std::fprintf(stderr, "%s: bad --jobs value '%s'\n",
+                     programName().c_str(), text.c_str());
+        std::exit(2);
+    }
+    return static_cast<unsigned>(jobs);
+}
+
+/**
  * Default bench configuration; CLI key=value overrides applied,
  * --jobs N / --jobs=N consumed into jobsFlag(), and
  * --trace-dir DIR / --trace-dir=DIR mapped to obs.trace_dir (with
@@ -101,13 +122,11 @@ benchCfg(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            jobsFlag() = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            jobsFlag() = parseJobs(argv[++i]);
             continue;
         }
         if (arg.rfind("--jobs=", 0) == 0) {
-            jobsFlag() = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
+            jobsFlag() = parseJobs(arg.substr(7));
             continue;
         }
         if (arg == "--trace-dir" && i + 1 < argc) {

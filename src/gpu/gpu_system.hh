@@ -80,9 +80,9 @@ class GpuSystem
      * Issue-path utilization counters, diagnostics like activity():
      * issue slots actually used across all SMs, the SM-ticks that
      * offered them, and the NoC ticks executed (both networks).
-     * issueSlotsUsed / (smTicksExecuted * issue width) is the issue
-     * utilization the single-thread bench records; packets /
-     * nocTicksExecuted is its pops-per-tick figure. Never StatSet
+     * perfbench reads them for its per-layer metrics
+     * (gpu.issue_slots_*, gpu.sm_ticks, noc.ticks,
+     * noc.pops_per_tick = packets / nocTicksExecuted). Never StatSet
      * entries.
      */
     std::uint64_t issueSlotsUsed() const;

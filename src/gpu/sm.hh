@@ -143,8 +143,8 @@ class Sm
     std::uint64_t instructionsRetired() const { return retiredTotal_; }
 
     /** Issue slots consumed across all full ticks (diagnostic for
-     *  the issue-utilization ratio in bench/sweep_scaling; never a
-     *  StatSet counter, so golden stat dumps are unaffected). */
+     *  perfbench's gpu.issue_slots_* metrics; never a StatSet
+     *  counter, so golden stat dumps are unaffected). */
     std::uint64_t issueSlotsUsed() const { return issueSlotsUsed_; }
 
     SmId id() const { return id_; }

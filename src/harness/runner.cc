@@ -97,15 +97,6 @@ runOne(const sim::Config &base, const std::string &protocol,
     }
     r.verified = wl->verify(system.memory());
     r.fastForwarded = system.fastForwardedCycles();
-    const gpu::GpuSystem::ActivityFractions act = system.activity();
-    r.activitySm = act.sm;
-    r.activityL1 = act.l1;
-    r.activityL2 = act.l2;
-    r.activityNoc = act.noc;
-    r.activityDram = act.dram;
-    r.issueSlotsUsed = system.issueSlotsUsed();
-    r.smTicksExecuted = system.smTicksExecuted();
-    r.nocTicksExecuted = system.nocTicksExecuted();
     r.stats = system.stats();
     r.obs = obs;
     std::string trace_dir = cfg.getString("obs.trace_dir", "");

@@ -63,31 +63,6 @@ struct RunResult
      */
     std::uint64_t fastForwarded = 0;
 
-    /**
-     * Per-component-type active-cycle fractions: ticked
-     * component-cycles / (simulated cycles * components of that
-     * type). Below 1.0 wherever the main loop parked components.
-     * Diagnostics like fastForwarded — never part of `stats`.
-     */
-    double activitySm = 0.0;
-    double activityL1 = 0.0;
-    double activityL2 = 0.0;
-    double activityNoc = 0.0;
-    double activityDram = 0.0;
-
-    /**
-     * Issue-path utilization counters (diagnostics like the activity
-     * fractions — never part of `stats`): issue slots the SMs
-     * actually filled, the executed SM-ticks that offered them, and
-     * the executed NoC ticks across both networks. The single-thread
-     * bench derives issue utilization (issueSlotsUsed /
-     * smTicksExecuted, per-slot) and NoC pops-per-tick (nocPackets /
-     * nocTicksExecuted) from these.
-     */
-    std::uint64_t issueSlotsUsed = 0;
-    std::uint64_t smTicksExecuted = 0;
-    std::uint64_t nocTicksExecuted = 0;
-
     /** Full raw statistics of the run. */
     sim::StatSet stats;
 

@@ -97,16 +97,26 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
 
     // One exception slot per run: workers never throw across the
     // pool; the earliest failing cell rethrows below, matching what
-    // the serial loop would have surfaced first.
+    // the serial loop would have surfaced first. Once a cell has
+    // failed, cells above it are skipped: the serial loop would never
+    // have reached them, and the run is lost anyway. Cells below it
+    // still run, since one of them may fail first in serial order.
     std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> firstFailed{n};
     {
         sim::ThreadPool pool(jobs);
         for (std::size_t i : misses) {
             pool.submit([&, i] {
+                if (i > firstFailed.load())
+                    return;
                 try {
                     runSpec(i);
                 } catch (...) {
                     errors[i] = std::current_exception();
+                    std::size_t f = firstFailed.load();
+                    while (i < f &&
+                           !firstFailed.compare_exchange_weak(f, i))
+                        ;
                 }
                 report(specs[i]);
             });

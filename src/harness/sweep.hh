@@ -97,7 +97,8 @@ class SweepRunner
      * Execute every spec (each via runOne on an isolated config and
      * stat set) and return results in submission order, regardless
      * of completion order. A failing run (fatal/panic) rethrows on
-     * the caller's thread after the pool drains, lowest index first.
+     * the caller's thread after the pool drains, lowest index first;
+     * cells above a failed one that have not started are skipped.
      */
     std::vector<RunResult> run(const std::vector<RunSpec> &specs);
 

@@ -95,14 +95,6 @@ encodeResult(const harness::RunResult &r)
     u("loads_checked", r.loadsChecked);
     u("verified", r.verified ? 1 : 0);
     u("fast_forwarded", r.fastForwarded);
-    u("issue_slots_used", r.issueSlotsUsed);
-    u("sm_ticks_executed", r.smTicksExecuted);
-    u("noc_ticks_executed", r.nocTicksExecuted);
-    f("activity_sm", r.activitySm);
-    f("activity_l1", r.activityL1);
-    f("activity_l2", r.activityL2);
-    f("activity_noc", r.activityNoc);
-    f("activity_dram", r.activityDram);
 
     for (const auto &kv : r.stats.counters())
         oss << "c " << kv.first << ' ' << kv.second << '\n';
@@ -200,12 +192,6 @@ decodeResult(const std::string &text, harness::RunResult *out,
                 out->verified = v != 0;
             else if (name == "fast_forwarded")
                 out->fastForwarded = v;
-            else if (name == "issue_slots_used")
-                out->issueSlotsUsed = v;
-            else if (name == "sm_ticks_executed")
-                out->smTicksExecuted = v;
-            else if (name == "noc_ticks_executed")
-                out->nocTicksExecuted = v;
             else
                 return fail("unknown integer field '" + name + "'");
         } else if (tag == 'f') {
@@ -230,16 +216,6 @@ decodeResult(const std::string &text, harness::RunResult *out,
                 out->energy.noc = v;
             else if (name == "energy_dram")
                 out->energy.dram = v;
-            else if (name == "activity_sm")
-                out->activitySm = v;
-            else if (name == "activity_l1")
-                out->activityL1 = v;
-            else if (name == "activity_l2")
-                out->activityL2 = v;
-            else if (name == "activity_noc")
-                out->activityNoc = v;
-            else if (name == "activity_dram")
-                out->activityDram = v;
             else
                 return fail("unknown double field '" + name + "'");
         } else if (tag == 'c') {

@@ -37,7 +37,7 @@ namespace gtsc::serve
 {
 
 /** Entry-format generation; bump when the on-disk layout changes. */
-constexpr int kStoreSchemaVersion = 2;
+constexpr int kStoreSchemaVersion = 3;
 
 /**
  * Simulator-output generation baked into every key and entry: bump

@@ -51,9 +51,10 @@ Config::getInt(const std::string &key, std::int64_t default_value) const
         consulted_[key] = std::to_string(default_value);
         return default_value;
     }
+    errno = 0;
     char *end = nullptr;
     long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE)
         GTSC_FATAL("config key '", key, "' is not an integer: '",
                    it->second, "'");
     return v;
@@ -67,11 +68,16 @@ Config::getUint(const std::string &key, std::uint64_t default_value) const
         consulted_[key] = std::to_string(default_value);
         return default_value;
     }
+    // strtoull takes a sign and wraps "-1" to ULLONG_MAX, so the value
+    // must start with a digit; ERANGE catches what does not fit.
+    const std::string &text = it->second;
+    errno = 0;
     char *end = nullptr;
-    unsigned long long v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
         GTSC_FATAL("config key '", key, "' is not an unsigned integer: '",
-                   it->second, "'");
+                   text, "'");
     return v;
 }
 

@@ -9,6 +9,7 @@
 
 #include "harness/sweep.hh"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,4 +144,28 @@ TEST(Sweep, FailingRunRethrowsOnCaller)
     opts.jobs = 4;
     SweepRunner runner(opts);
     EXPECT_THROW(runner.run(specs), std::runtime_error);
+}
+
+TEST(Sweep, FailureSkipsLaterCellsAndReportsTheLowest)
+{
+    // Two workers take cells round-robin and run their own share in
+    // order, so cell 0 fails at once on worker 0 and cell 5 fails on
+    // worker 1 before it reaches cell 7: at least cell 7 is skipped.
+    std::vector<RunSpec> specs = matrix();
+    ASSERT_GE(specs.size(), 8u);
+    specs[0].config.set("gpu.num_sms", "abc");
+    specs[5].protocol = "mesi";
+    SweepOptions opts;
+    opts.jobs = 2;
+    SweepRunner runner(opts);
+    const std::uint64_t before = harness::runOneCallCount();
+    try {
+        runner.run(specs);
+        ADD_FAILURE() << "the sweep did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("gpu.num_sms"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_LT(harness::runOneCallCount() - before, specs.size());
 }

@@ -39,6 +39,14 @@ struct SweepParam
     }
 };
 
+// Names the case in test listings. Without a printer gtest dumps the
+// struct's bytes, whose pointers change the ctest name on every build.
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << p.tag();
+}
+
 class StressSweep : public ::testing::TestWithParam<SweepParam>
 {
 };

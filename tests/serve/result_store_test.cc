@@ -91,14 +91,6 @@ sampleResult()
     r.loadsChecked = 1000;
     r.verified = true;
     r.fastForwarded = 500;
-    r.activitySm = 0.25;
-    r.activityL1 = 1.0 / 3.0;
-    r.activityL2 = 0.5;
-    r.activityNoc = 0.75;
-    r.activityDram = 0.0625;
-    r.issueSlotsUsed = 777;
-    r.smTicksExecuted = 888;
-    r.nocTicksExecuted = 99;
     r.stats.counter("l1.hits") = 10;
     r.stats.counter("noc.packets") = 44;
     // Enough samples to engage the reservoir stride logic, plus

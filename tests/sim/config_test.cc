@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 using gtsc::sim::Config;
 
@@ -55,6 +56,39 @@ TEST(Config, MalformedValuesAreFatal)
     EXPECT_THROW(cfg.getInt("n", 0), std::runtime_error);
     EXPECT_THROW(cfg.getDouble("n", 0), std::runtime_error);
     EXPECT_THROW(cfg.getBool("n", false), std::runtime_error);
+}
+
+TEST(Config, SignedOrOutOfRangeUnsignedValuesAreFatal)
+{
+    Config cfg;
+    // strtoull alone would read "-1" as 2^64 - 1.
+    cfg.set("neg", "-1");
+    cfg.set("plus", "+4");
+    cfg.set("huge", "99999999999999999999999");
+    cfg.set("max", "18446744073709551615");
+    EXPECT_THROW(cfg.getUint("plus", 0), std::runtime_error);
+    EXPECT_THROW(cfg.getUint("huge", 0), std::runtime_error);
+    EXPECT_EQ(cfg.getUint("max", 0), 18446744073709551615ull);
+    try {
+        cfg.getUint("neg", 0);
+        ADD_FAILURE() << "'-1' was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "config key 'neg' is not an unsigned integer: '-1'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Config, OutOfRangeIntegersAreFatal)
+{
+    Config cfg;
+    cfg.set("huge", "99999999999999999999999");
+    cfg.set("tiny", "-99999999999999999999999");
+    cfg.set("neg", "-5");
+    EXPECT_THROW(cfg.getInt("huge", 0), std::runtime_error);
+    EXPECT_THROW(cfg.getInt("tiny", 0), std::runtime_error);
+    EXPECT_EQ(cfg.getInt("neg", 0), -5);
 }
 
 TEST(Config, ParseOverride)

@@ -1,34 +1,29 @@
 #!/usr/bin/env python3
-"""Gate the single-thread hot-path bench output for CI's perf-smoke job.
+"""Gate the repo benchmark's `coherent` result for CI's perf-smoke job.
 
 Usage:
-    tools/check_single_thread_perf.py BENCH_sweep_scaling.json \
-        [--min-geomean MCYC] [--min-speedup X]
+    python3 perfbench/run.py --workload coherent --seed 1 --seconds 5 \
+        --trace 0 > PERF_coherent.txt
+    tools/check_single_thread_perf.py PERF_coherent.txt
 
-Reads the "single_thread" section emitted by `bench/sweep_scaling
---only single` and fails (exit 1) when:
+Reads the result line perfbench prints last (see perfbench/README.md)
+and fails (exit 1) when:
 
-  * the section is missing or has no cells,
-  * any cell simulated zero cycles (a run silently did nothing),
-  * the geomean throughput is below --min-geomean simulated
-    megacycles per wall-clock second (default 0.50), or
-  * a baseline geomean was embedded (--baseline-mcyc at bench time)
-    and the speedup against it is below --min-speedup (default 0.8).
+  * there is no result line,
+  * `correct` is false or `failed` is above 0 (a cell failed
+    Workload::verify, or a digest or count did not repeat across
+    passes), or
+  * `throughput_per_s`, the simulated cycles per host second inside
+    GpuSystem::run() over the 24 fig12 coherence cells, is below
+    MIN_THROUGHPUT (505000, i.e. 0.505 Mcyc/s).
 
-On a geomean failure the report lists every cell's signed delta
-against the floor, slowest first, so the offending cells are visible
-in the CI log without downloading the artifact.
-
-The default floors are deliberately conservative: hosted CI runners
-are slow and noisy (±20% run-to-run observed even on one machine),
-so this guards against the hot path falling off a cliff — an
-accidental debug build, a quadratic scan reintroduced into the
-per-cycle loop — not against single-digit regressions. The geomean
-floor tracks the measured baseline (0.69-0.71 Mcyc/s geomean across
-recent runs on the reference runner after the issue-path/NoC
-fast-lane refactor, see BENCH_sweep_scaling.json) with ~30%
-headroom for runner noise. Track the trajectory across pushes
-through the uploaded BENCH artifacts instead.
+The floor is a cliff guard, not a speedup gate: hosted runners are
+slow and noisy. It catches an accidental debug build or a quadratic
+scan in the main loop, not single-digit regressions; compare
+interleaved A/B runs (perfbench/ab.py) for those. It replaces a
+0.50 Mcyc/s floor on the geomean of 16 fig12 cells, scaled by the
+median ratio of this number to that geomean over ten interleaved
+pairs on one 4-vCPU Xeon guest (1.0095; quartiles 0.92 and 1.15).
 
 Stdlib only, no third-party deps.
 """
@@ -37,61 +32,50 @@ import argparse
 import json
 import sys
 
+#: Simulated cycles per second floor on `throughput_per_s`.
+MIN_THROUGHPUT = 505000
+
+
+def result_line(path):
+    """The last non-empty line of the report, parsed, or None."""
+    with open(path, encoding="utf-8") as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    if not lines:
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+    return result if isinstance(result, dict) else None
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("bench_json", help="BENCH_sweep_scaling.json")
-    parser.add_argument("--min-geomean", type=float, default=0.50,
-                        help="geomean Mcycles/sec floor (default 0.50)")
-    parser.add_argument("--min-speedup", type=float, default=0.8,
-                        help="floor on speedup_vs_baseline when a "
-                             "baseline is embedded (default 0.8)")
+    parser.add_argument("report", help="stdout of perfbench/run.py "
+                        "--workload coherent --trace 0")
     args = parser.parse_args()
 
-    with open(args.bench_json, encoding="utf-8") as f:
-        blob = json.load(f)
-
-    section = blob.get("single_thread")
-    if not section or not section.get("cells"):
-        print(f"FAIL: no single_thread cells in {args.bench_json}")
+    result = result_line(args.report)
+    if result is None:
+        print(f"FAIL: no perfbench result line in {args.report}")
         return 1
 
     failed = False
-    for cell in section["cells"]:
-        status = "ok"
-        if cell.get("cycles", 0) <= 0:
-            status = "FAIL (zero cycles simulated)"
-            failed = True
-        print(f"{cell['cell']}: {cell['seconds']:.3f}s "
-              f"{cell['mcyc_per_sec']:.3f} Mcyc/s {status}")
-
-    geomean = float(section.get("geomean_mcyc_per_sec", 0.0))
-    line = f"geomean: {geomean:.3f} Mcyc/s"
-    if geomean < args.min_geomean:
-        line += f" FAIL (< floor {args.min_geomean:g})"
+    correct = result.get("correct") is True
+    n_failed = result.get("failed", 0)
+    attempted = result.get("attempted", 0)
+    print(f"correct: {correct}, failed: {n_failed}/{attempted}")
+    if not correct or n_failed > 0 or attempted <= 0:
+        print("FAIL: the benchmark's correctness checks did not pass")
         failed = True
-        print(line)
-        print(f"per-cell delta vs floor {args.min_geomean:g} Mcyc/s, "
-              "slowest first:")
-        ranked = sorted(section["cells"],
-                        key=lambda c: c["mcyc_per_sec"])
-        for cell in ranked:
-            delta = cell["mcyc_per_sec"] - args.min_geomean
-            print(f"  {cell['cell']}: {cell['mcyc_per_sec']:.3f} "
-                  f"({delta:+.3f})")
-    else:
-        print(line)
 
-    baseline = float(section.get("baseline_geomean_mcyc_per_sec", 0.0))
-    if baseline > 0.0:
-        speedup = float(section.get("speedup_vs_baseline", 0.0))
-        line = (f"speedup vs baseline {baseline:g} Mcyc/s: "
-                f"{speedup:.2f}x")
-        if speedup < args.min_speedup:
-            line += f" FAIL (< floor {args.min_speedup:g}x)"
-            failed = True
-        print(line)
-
+    value = (result.get("metrics", {}).get("throughput_per_s", {})
+             .get("value", 0.0))
+    line = f"throughput_per_s: {value:.0f} cycles/s, floor {MIN_THROUGHPUT}"
+    if value < MIN_THROUGHPUT:
+        line = "FAIL: " + line
+        failed = True
+    print(line)
     return 1 if failed else 0
 
 
