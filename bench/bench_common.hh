@@ -1,22 +1,22 @@
 /**
  * @file
- * Shared machinery for the figure/table harnesses: the run matrix,
- * the parallel sweep cache every driver runs its cells through,
- * normalization helpers and the paper's reported numbers (used to
- * print paper-vs-measured columns; see EXPERIMENTS.md).
+ * Shared machinery of the `figures` program (figures.cc): the bench
+ * machine and its command line, the figure columns, the two-pass
+ * sweep every report reads its cells through, and the paper's
+ * reported numbers (used to print paper-vs-measured columns; see
+ * EXPERIMENTS.md).
  */
 
 #ifndef GTSC_BENCH_BENCH_COMMON_HH_
 #define GTSC_BENCH_BENCH_COMMON_HH_
 
 #include <cctype>
-#include <cerrno>
 #include <climits>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -48,96 +48,45 @@ figureColumns()
 }
 
 /**
- * Worker-count knob shared by every driver. Set by --jobs N /
- * --jobs=N on the command line (benchCfg); 0 defers to the GTSC_JOBS
- * environment variable and then the hardware thread count.
- */
-inline unsigned &
-jobsFlag()
-{
-    static unsigned jobs = 0;
-    return jobs;
-}
-
-/** The program's name for error messages: argv[0]'s basename, set
- * by benchCfg. */
-inline std::string &
-programName()
-{
-    static std::string name = "bench";
-    return name;
-}
-
-/**
- * Report bad input that surfaced as an exception (GTSC_FATAL on a
- * malformed knob value, a run that overruns gpu.max_cycles) the way
- * gtsc-sim and gtsc_verify do — "<program>: fatal: <reason>" on
- * stderr — and exit 2 like a usage error instead of aborting.
- */
-[[noreturn]] inline void
-exitOnError(const std::exception &e)
-{
-    std::fprintf(stderr, "%s: %s\n", programName().c_str(), e.what());
-    std::exit(2);
-}
-
-/**
- * Parse a --jobs value: a whole decimal number (0 = default), or exit
- * 2 with "<program>: bad --jobs value '<text>'".
- */
-inline unsigned
-parseJobs(const std::string &text)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long jobs = std::strtoul(text.c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || jobs > UINT_MAX) {
-        std::fprintf(stderr, "%s: bad --jobs value '%s'\n",
-                     programName().c_str(), text.c_str());
-        std::exit(2);
-    }
-    return static_cast<unsigned>(jobs);
-}
-
-/**
- * Default bench configuration; CLI key=value overrides applied,
- * --jobs N / --jobs=N consumed into jobsFlag(), and
- * --trace-dir DIR / --trace-dir=DIR mapped to obs.trace_dir (with
- * obs.trace defaulted on so the flag alone produces per-run traces).
+ * Default bench configuration with the CLI's key=value overrides
+ * applied. --jobs N / --jobs=N is parsed into *jobs (a whole decimal
+ * number, else exit 2 with "figures: bad --jobs value '<text>'"),
+ * --trace-dir DIR / --trace-dir=DIR maps to obs.trace_dir (with
+ * obs.trace defaulted on so the flag alone produces per-run traces),
+ * and every other argument without '=' is appended to *names.
  */
 inline sim::Config
-benchCfg(int argc, char **argv)
+benchCfg(int argc, char **argv, unsigned *jobs,
+         std::vector<std::string> *names)
 {
-    if (argc > 0) {
-        std::string self = argv[0];
-        programName() = self.substr(self.find_last_of('/') + 1);
-    }
     sim::Config cfg = harness::benchConfig();
     cfg.setInt("gpu.num_sms", 8);
     cfg.setInt("gpu.warps_per_sm", 12);
     cfg.setInt("gpu.num_partitions", 4);
     cfg.setBool("check.enabled", false);
+    auto parseJobs = [](const std::string &text) {
+        std::uint64_t n = 0;
+        if (!harness::parseWholeNumber(text, UINT_MAX, &n)) {
+            std::fprintf(stderr, "figures: bad --jobs value '%s'\n",
+                         text.c_str());
+            std::exit(2);
+        }
+        return static_cast<unsigned>(n);
+    };
     std::string trace_dir;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            jobsFlag() = parseJobs(argv[++i]);
-            continue;
-        }
-        if (arg.rfind("--jobs=", 0) == 0) {
-            jobsFlag() = parseJobs(arg.substr(7));
-            continue;
-        }
-        if (arg == "--trace-dir" && i + 1 < argc) {
+            *jobs = parseJobs(argv[++i]);
+        } else if (arg.rfind("--jobs=", 0) == 0) {
+            *jobs = parseJobs(arg.substr(7));
+        } else if (arg == "--trace-dir" && i + 1 < argc) {
             trace_dir = argv[++i];
-            continue;
-        }
-        if (arg.rfind("--trace-dir=", 0) == 0) {
+        } else if (arg.rfind("--trace-dir=", 0) == 0) {
             trace_dir = arg.substr(12);
-            continue;
-        }
-        if (!cfg.parseOverride(arg)) {
+        } else if (arg[0] != '-' && arg.find('=') == std::string::npos) {
+            names->push_back(arg);
+        } else if (!cfg.parseOverride(arg)) {
             std::fprintf(stderr, "bad override '%s'\n", argv[i]);
             std::exit(2);
         }
@@ -151,45 +100,35 @@ benchCfg(int argc, char **argv)
 }
 
 /**
- * Plan/execute cache over SweepRunner.
+ * Two-pass cell cache over SweepRunner.
  *
- * Drivers declare every cell they will need with plan() (mirroring
- * their result loops), then read results back with get(): the first
- * get() executes all planned cells in parallel. Cells are keyed by
- * (explicit config, protocol, consistency, workload), so repeated
- * plans of the same cell dedupe into one simulation and a get() of
- * a never-planned cell still works (it runs serially and is
- * cached). Per-run results are unchanged by parallelism — each cell
- * is an isolated, deterministic simulation. A cell that throws ends
- * the program through exitOnError().
+ * A report reads every cell it needs with get() and prints with
+ * print(). `figures` calls each report twice. In the recording pass,
+ * get() notes the cell and returns an empty result, and print()
+ * drops its output. execute() then simulates the union of the
+ * recorded cells once, in parallel, and the real pass reads them
+ * back. This is exact because a report's cells depend only on the
+ * config, never on a result; a get() of a cell the recording pass
+ * did not see is a fatal error. Cells are keyed by (explicit config,
+ * protocol, consistency, workload), so a cell several reports read
+ * is simulated once. Per-run results do not depend on parallelism:
+ * each cell is an isolated, deterministic simulation. A cell that
+ * throws ends the program with exit status 2.
  */
 class Sweep
 {
   public:
-    explicit Sweep(const sim::Config &base) : base_(base) {}
+    Sweep(const sim::Config &base, unsigned jobs)
+        : base_(base), jobs_(jobs)
+    {}
 
-    void
-    plan(const ProtoCfg &pc, const std::string &workload)
+    /** The base config with one knob set to `value`. */
+    sim::Config
+    with(const std::string &key, const std::string &value) const
     {
-        plan(base_, pc, workload);
-    }
-
-    void
-    plan(const sim::Config &cfg, const ProtoCfg &pc,
-         const std::string &workload)
-    {
-        std::string k = key(cfg, pc, workload);
-        if (results_.count(k) || planned_.count(k))
-            return;
-        planned_.insert(k);
-        harness::RunSpec spec;
-        spec.config = cfg;
-        spec.protocol = pc.protocol;
-        spec.consistency = pc.consistency;
-        spec.workload = workload;
-        spec.label = workload + "/" + pc.label;
-        pending_.push_back(std::move(spec));
-        pendingKeys_.push_back(std::move(k));
+        sim::Config c = base_;
+        c.set(key, value);
+        return c;
     }
 
     const harness::RunResult &
@@ -202,68 +141,79 @@ class Sweep
     get(const sim::Config &cfg, const ProtoCfg &pc,
         const std::string &workload)
     {
-        execute();
-        std::string k = key(cfg, pc, workload);
-        auto it = results_.find(k);
-        if (it != results_.end())
-            return it->second;
-        // Unplanned cell: run it serially (old runCell behaviour).
-        std::fprintf(stderr, "  running %-5s %-9s ...\r",
-                     workload.c_str(), pc.label.c_str());
-        std::fflush(stderr);
-        try {
-            harness::RunResult r = harness::runOne(
-                cfg, pc.protocol, pc.consistency, workload);
-            return results_.emplace(k, std::move(r)).first->second;
-        } catch (const std::exception &e) {
-            exitOnError(e);
+        static const harness::RunResult kEmpty;
+        std::string k = pc.protocol + '\n' + pc.consistency + '\n' +
+                        workload + '\n' + cfg.explicitString();
+        auto it = index_.find(k);
+        if (!recording_) {
+            if (it == index_.end()) {
+                std::fprintf(stderr,
+                             "figures: fatal: cell %s/%s was not "
+                             "recorded\n",
+                             workload.c_str(), pc.label.c_str());
+                std::exit(2);
+            }
+            return results_[it->second];
         }
+        if (it == index_.end()) {
+            index_.emplace(std::move(k), specs_.size());
+            harness::RunSpec spec;
+            spec.config = cfg;
+            spec.protocol = pc.protocol;
+            spec.consistency = pc.consistency;
+            spec.workload = workload;
+            spec.label = workload + "/" + pc.label;
+            specs_.push_back(std::move(spec));
+        }
+        return kEmpty;
     }
 
-    /** Run everything planned so far (get() calls this lazily). */
+    /** printf to stdout in the real pass; dropped while recording. */
+    [[gnu::format(printf, 2, 3)]] void
+    print(const char *fmt, ...)
+    {
+        if (recording_)
+            return;
+        std::va_list args;
+        va_start(args, fmt);
+        std::vprintf(fmt, args);
+        va_end(args);
+    }
+
+    /** Simulate every recorded cell once and start the real pass. */
     void
     execute()
     {
-        if (pending_.empty())
-            return;
         harness::SweepOptions opts;
-        opts.jobs = jobsFlag();
+        opts.jobs = jobs_;
         opts.progress = true;
-        std::vector<harness::RunResult> out;
         try {
             // sweep.store=1 routes every cell through the persistent
             // content-addressed result store: warm reruns of a figure
             // skip simulation entirely (see docs/SERVING.md).
-            if (!store_)
-                store_ = serve::storeFromConfig(base_);
-            opts.cache = store_.get();
-            harness::SweepRunner runner(opts);
-            out = runner.run(pending_);
+            std::shared_ptr<serve::ResultStore> store =
+                serve::storeFromConfig(base_);
+            opts.cache = store.get();
+            results_ = harness::SweepRunner(opts).run(specs_);
         } catch (const std::exception &e) {
-            exitOnError(e);
+            // Bad input that surfaced as an exception (GTSC_FATAL on a
+            // malformed knob value, a gpu.max_cycles overrun) exits 2
+            // with "figures: fatal: <reason>", as gtsc-sim and
+            // gtsc_verify do, instead of aborting.
+            std::fprintf(stderr, "figures: %s\n", e.what());
+            std::exit(2);
         }
-        for (std::size_t i = 0; i < out.size(); ++i)
-            results_.emplace(pendingKeys_[i], std::move(out[i]));
-        pending_.clear();
-        pendingKeys_.clear();
-        planned_.clear();
+        std::fprintf(stderr, "%60s\r", "");
+        recording_ = false;
     }
 
   private:
-    static std::string
-    key(const sim::Config &cfg, const ProtoCfg &pc,
-        const std::string &workload)
-    {
-        return pc.protocol + '\n' + pc.consistency + '\n' + workload +
-               '\n' + cfg.explicitString();
-    }
-
     sim::Config base_;
-    std::shared_ptr<serve::ResultStore> store_;
-    std::vector<harness::RunSpec> pending_;
-    std::vector<std::string> pendingKeys_;
-    std::set<std::string> planned_;
-    std::map<std::string, harness::RunResult> results_;
+    unsigned jobs_;
+    bool recording_ = true;
+    std::map<std::string, std::size_t> index_;
+    std::vector<harness::RunSpec> specs_;
+    std::vector<harness::RunResult> results_;
 };
 
 /** Paper Table II: absolute execution cycles (millions), as reported

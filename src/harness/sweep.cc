@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -27,13 +30,28 @@ SweepRunner::SweepRunner(SweepOptions opts) : opts_(opts)
 unsigned
 SweepRunner::defaultJobs()
 {
-    if (const char *env = std::getenv("GTSC_JOBS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            return static_cast<unsigned>(v);
-    }
+    std::uint64_t v = 0;
+    const char *env = std::getenv("GTSC_JOBS");
+    if (env && parseWholeNumber(env, UINT_MAX, &v) && v >= 1)
+        return static_cast<unsigned>(v);
     return sim::ThreadPool::hardwareWorkers();
+}
+
+bool
+parseWholeNumber(const std::string &text, std::uint64_t max,
+                 std::uint64_t *out)
+{
+    if (text.empty() ||
+        !std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c);
+        }))
+        return false;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > max)
+        return false;
+    *out = v;
+    return true;
 }
 
 std::vector<RunResult>

@@ -15,6 +15,7 @@
 #ifndef GTSC_HARNESS_SWEEP_HH_
 #define GTSC_HARNESS_SWEEP_HH_
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -112,6 +113,16 @@ class SweepRunner
     SweepOptions opts_;
     unsigned jobs_;
 };
+
+/**
+ * Parse a numeric command-line value: a whole decimal number of at
+ * most `max` (digits only, no sign, space or suffix). Returns false
+ * on anything else, leaving *out unchanged. Worker counts (the
+ * figures and gtscd --jobs, GTSC_JOBS) and gtscd's --max-bytes all
+ * parse through here.
+ */
+bool parseWholeNumber(const std::string &text, std::uint64_t max,
+                      std::uint64_t *out);
 
 } // namespace gtsc::harness
 

@@ -22,7 +22,9 @@
  */
 
 #include <cerrno>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +35,7 @@
 #include <unistd.h>
 
 #include "harness/runner.hh"
+#include "harness/sweep.hh"
 #include "serve/service.hh"
 
 using namespace gtsc;
@@ -98,12 +101,20 @@ usage(const char *argv0)
         "                  (default: <store-root>/gtscd.sock)\n"
         "  --store PATH    result-store root (default:\n"
         "                  GTSC_RESULT_STORE, else ~/.cache/gtsc)\n"
-        "  --max-bytes N   store size cap for LRU eviction\n"
+        "  --max-bytes N   store size cap for LRU eviction (0 = none)\n"
         "  --jobs N        default sweep workers per request\n"
         "  --once          exit after the first connection closes\n"
         "  --no-store      serve without the persistent store\n"
         "  key=value       base config for every request\n",
         argv0);
+    return 2;
+}
+
+/** Reject a numeric flag whose value is not a whole number. */
+int
+badValue(const char *flag, const char *text)
+{
+    std::fprintf(stderr, "gtscd: bad %s value '%s'\n", flag, text);
     return 2;
 }
 
@@ -127,10 +138,14 @@ main(int argc, char **argv)
         } else if (arg == "--store" && i + 1 < argc) {
             storeRoot = argv[++i];
         } else if (arg == "--max-bytes" && i + 1 < argc) {
-            maxBytes = std::strtoull(argv[++i], nullptr, 10);
+            if (!harness::parseWholeNumber(argv[++i], UINT64_MAX,
+                                           &maxBytes))
+                return badValue("--max-bytes", argv[i]);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            std::uint64_t n = 0;
+            if (!harness::parseWholeNumber(argv[++i], UINT_MAX, &n))
+                return badValue("--jobs", argv[i]);
+            jobs = static_cast<unsigned>(n);
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--no-store") {

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -193,10 +195,18 @@ Service::handleRun(const json::Value &req, const std::string &id,
     }
 
     harness::SweepOptions sweepOpts;
-    const json::Value *jobs = req.get("jobs");
-    sweepOpts.jobs = jobs && jobs->isNumber()
-                         ? static_cast<unsigned>(jobs->number)
-                         : opts_.jobs;
+    sweepOpts.jobs = opts_.jobs;
+    if (const json::Value *jobs = req.get("jobs")) {
+        double n = jobs->number;
+        if (!jobs->isNumber() || !(n >= 0) || n > UINT_MAX ||
+            n != std::floor(n)) {
+            sink(errorLine(id, "\"jobs\" must be a whole number from "
+                               "0 to " +
+                                   std::to_string(UINT_MAX)));
+            return;
+        }
+        sweepOpts.jobs = static_cast<unsigned>(n);
+    }
     const json::Value *useStore = req.get("store");
     bool storeOn = opts_.store != nullptr &&
                    !(useStore && useStore->type ==

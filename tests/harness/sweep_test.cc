@@ -169,3 +169,23 @@ TEST(Sweep, FailureSkipsLaterCellsAndReportsTheLowest)
     }
     EXPECT_LT(harness::runOneCallCount() - before, specs.size());
 }
+
+TEST(Sweep, ParseWholeNumberTakesDigitsUpToMax)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(harness::parseWholeNumber("0", 10, &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(harness::parseWholeNumber("4294967295", UINT32_MAX, &v));
+    EXPECT_EQ(v, UINT32_MAX);
+    EXPECT_TRUE(
+        harness::parseWholeNumber("18446744073709551615", UINT64_MAX, &v));
+    EXPECT_EQ(v, UINT64_MAX);
+
+    v = 7;
+    for (const char *bad : {"", "abc", "-1", "+1", " 1", "1 ", "1k",
+                            "2.5", "0x10", "4294967296",
+                            "18446744073709551616"})
+        EXPECT_FALSE(harness::parseWholeNumber(bad, UINT32_MAX, &v))
+            << bad;
+    EXPECT_EQ(v, 7u);
+}

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/runner.hh"
 #include "serve/jsonl.hh"
 
 namespace fs = std::filesystem;
@@ -279,4 +280,26 @@ TEST(Service, ErrorsAreReportedNotFatal)
     EXPECT_TRUE(blank.lines.empty());
     Responses ping = ask(service, R"({"op":"ping"})");
     EXPECT_EQ(ping.last().get("op")->str, "pong");
+}
+
+TEST(Service, BadJobsValueIsRejectedBeforeAnyCellRuns)
+{
+    TempDir td;
+    Service service = makeService(td);
+    const std::string head = R"({"op":"run","id":"j","jobs":)";
+    const std::string cells =
+        R"(,"cells":[{"workload":"bh","protocol":"tc",)"
+        R"("consistency":"sc"}]})";
+    // Only rejected values: an accepted large "jobs" would start that
+    // many worker threads (capped at the cell count).
+    for (const char *jobs : {"-1", "2.5", "1e20", R"("4")"}) {
+        std::uint64_t before = harness::runOneCallCount();
+        Responses r = ask(service, head + jobs + cells);
+        ASSERT_EQ(r.lines.size(), 1u) << jobs;
+        EXPECT_EQ(r.last().get("op")->str, "error") << jobs;
+        EXPECT_NE(r.last().get("message")->str.find("\"jobs\""),
+                  std::string::npos)
+            << jobs;
+        EXPECT_EQ(harness::runOneCallCount(), before) << jobs;
+    }
 }
