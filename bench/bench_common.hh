@@ -53,7 +53,8 @@ figureColumns()
  * number, else exit 2 with "figures: bad --jobs value '<text>'"),
  * --trace-dir DIR / --trace-dir=DIR maps to obs.trace_dir (with
  * obs.trace defaulted on so the flag alone produces per-run traces),
- * and every other argument without '=' is appended to *names.
+ * and every other argument without '=' is appended to *names. An
+ * undeclared key or an ill-typed value throws, as Config::set does.
  */
 inline sim::Config
 benchCfg(int argc, char **argv, unsigned *jobs,
@@ -109,7 +110,7 @@ benchCfg(int argc, char **argv, unsigned *jobs,
  * recorded cells once, in parallel, and the real pass reads them
  * back. This is exact because a report's cells depend only on the
  * config, never on a result; a get() of a cell the recording pass
- * did not see is a fatal error. Cells are keyed by (explicit config,
+ * did not see is a fatal error. Cells are keyed by (canonical config,
  * protocol, consistency, workload), so a cell several reports read
  * is simulated once. Per-run results do not depend on parallelism:
  * each cell is an isolated, deterministic simulation. A cell that
@@ -143,7 +144,7 @@ class Sweep
     {
         static const harness::RunResult kEmpty;
         std::string k = pc.protocol + '\n' + pc.consistency + '\n' +
-                        workload + '\n' + cfg.explicitString();
+                        workload + '\n' + cfg.canonicalString();
         auto it = index_.find(k);
         if (!recording_) {
             if (it == index_.end()) {

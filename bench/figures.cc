@@ -705,7 +705,14 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::vector<std::string> names;
-    sim::Config cfg = benchCfg(argc, argv, &jobs, &names);
+    sim::Config cfg;
+    try {
+        cfg = benchCfg(argc, argv, &jobs, &names);
+    } catch (const std::exception &e) {
+        // An undeclared knob or a value of the wrong type.
+        std::fprintf(stderr, "figures: %s\n", e.what());
+        return 2;
+    }
 
     std::vector<const Report *> selected;
     for (const auto &name : names) {

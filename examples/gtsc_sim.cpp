@@ -16,7 +16,7 @@
  *       List workloads, protocols and consistency models.
  *
  *   gtsc_sim config [key=value ...]
- *       Print the effective configuration a run would use.
+ *       Print every knob with the value a run would use.
  */
 
 #include <cstdio>
@@ -164,18 +164,7 @@ cmdList()
 int
 cmdConfig(const Args &args)
 {
-    sim::Config cfg = configFor(args);
-    // Touch the common keys so their defaults appear.
-    (void)gpu::GpuParams::fromConfig(cfg);
-    (void)cfg.getUint("gtsc.lease", 10);
-    (void)cfg.getUint("gtsc.ts_bits", 16);
-    (void)cfg.getUint("tc.lease", 100);
-    (void)cfg.getUint("l1.size_bytes", 16 * 1024);
-    (void)cfg.getUint("l2.partition_bytes", 128 * 1024);
-    (void)cfg.getUint("noc.bytes_per_cycle", 32);
-    (void)cfg.getString("noc.topology", "xbar");
-    (void)cfg.getString("gpu.scheduler", "gto");
-    std::printf("%s", cfg.toString().c_str());
+    std::printf("%s", configFor(args).toString().c_str());
     return 0;
 }
 

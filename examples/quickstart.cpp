@@ -22,7 +22,7 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    std::string consistency = cfg.getString("gpu.consistency", "rc");
+    std::string consistency = cfg.getString("gpu.consistency");
 
     gtsc::harness::RunResult r =
         gtsc::harness::runOne(cfg, "gtsc", consistency, "mp");

@@ -16,16 +16,14 @@ GtscL1::GtscL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
                mem::CoherenceProbe *probe)
     : sm_(sm), stats_(stats), events_(events), domain_(domain),
       probe_(probe),
-      array_(cfg.getUint("l1.size_bytes", 16 * 1024),
-             cfg.getUint("l1.assoc", 4)),
-      mshr_(cfg.getUint("l1.mshr_entries", 32))
+      array_(cfg.getUint("l1.size_bytes"), cfg.getUint("l1.assoc")),
+      mshr_(cfg.getUint("l1.mshr_entries"))
 {
-    warpTs_.assign(cfg.getUint("gpu.warps_per_sm", 48), 1);
-    numPartitions_ =
-        static_cast<unsigned>(cfg.getUint("gpu.num_partitions", 8));
-    hitLatency_ = std::max<Cycle>(1, cfg.getUint("l1.hit_latency", 4));
-    combine_ = cfg.getBool("gtsc.combine_mshr", true);
-    std::string vis = cfg.getString("gtsc.update_visibility", "block");
+    warpTs_.assign(cfg.getUint("gpu.warps_per_sm"), 1);
+    numPartitions_ = static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
+    hitLatency_ = std::max<Cycle>(1, cfg.getUint("l1.hit_latency"));
+    combine_ = cfg.getBool("gtsc.combine_mshr");
+    std::string vis = cfg.getString("gtsc.update_visibility");
     if (vis == "block")
         visibility_ = Visibility::Block;
     else if (vis == "dualcopy")
@@ -36,8 +34,10 @@ GtscL1::GtscL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
         GTSC_FATAL("gtsc.update_visibility must be "
                    "block|dualcopy|writebuffer, got '",
                    vis, "'");
-    writeBufferEntries_ = cfg.getUint("gtsc.write_buffer_entries", 8);
-    spinBoost_ = cfg.getUint("gtsc.spin_ts_boost", domain_.lease());
+    writeBufferEntries_ = cfg.getUint("gtsc.write_buffer_entries");
+    spinBoost_ = cfg.has("gtsc.spin_ts_boost")
+                     ? cfg.getUint("gtsc.spin_ts_boost")
+                     : domain_.lease();
 
     hits_ = &stats_.counter("l1.hits");
     missCold_ = &stats_.counter("l1.miss_cold");

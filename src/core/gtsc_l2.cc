@@ -16,20 +16,20 @@ GtscL2::GtscL2(PartitionId part, const sim::Config &cfg,
                TsDomain &domain, mem::CoherenceProbe *probe)
     : part_(part), stats_(stats), events_(events), dram_(dram),
       memory_(memory), domain_(domain), probe_(probe),
-      array_(cfg.getUint("l2.partition_bytes", 128 * 1024),
-             cfg.getUint("l2.assoc", 8))
+      array_(cfg.getUint("l2.partition_bytes"), cfg.getUint("l2.assoc"))
 {
-    ports_ = static_cast<unsigned>(cfg.getUint("l2.ports", 1));
-    accessLatency_ = cfg.getUint("l2.access_latency", 20);
-    mshrCapacity_ = cfg.getUint("l2.mshr_entries", 32);
-    adaptiveLease_ = cfg.getBool("gtsc.adaptive_lease", false);
-    std::string mutation = cfg.getString("verify.mutation", "");
+    ports_ = static_cast<unsigned>(cfg.getUint("l2.ports"));
+    accessLatency_ = cfg.getUint("l2.access_latency");
+    mshrCapacity_ = cfg.getUint("l2.mshr_entries");
+    adaptiveLease_ = cfg.getBool("gtsc.adaptive_lease");
+    std::string mutation = cfg.getString("verify.mutation");
     mutWriteIgnoresLease_ = mutation == "write_ignores_lease";
     mutRenewMismatch_ = mutation == "renew_mismatched_wts";
     if (!mutation.empty() && !mutWriteIgnoresLease_ &&
         !mutRenewMismatch_)
         GTSC_FATAL("unknown verify.mutation '", mutation, "'");
-    maxLease_ = cfg.getUint("gtsc.max_lease", domain_.lease() * 32);
+    maxLease_ = cfg.has("gtsc.max_lease") ? cfg.getUint("gtsc.max_lease")
+                                          : domain_.lease() * 32;
     if (maxLease_ > domain_.tsMax() / 4)
         maxLease_ = domain_.tsMax() / 4;
 

@@ -33,12 +33,11 @@ class TsDomain
     TsDomain(const sim::Config &cfg, sim::StatSet &stats)
         : tsResets_(&stats.counter("gtsc.ts_resets"))
     {
-        unsigned width =
-            static_cast<unsigned>(cfg.getUint("gtsc.ts_bits", 16));
+        unsigned width = static_cast<unsigned>(cfg.getUint("gtsc.ts_bits"));
         if (width < 4 || width > 62)
             GTSC_FATAL("gtsc.ts_bits must be in [4,62], got ", width);
         tsMax_ = (Ts{1} << width) - 1;
-        lease_ = cfg.getUint("gtsc.lease", 10);
+        lease_ = cfg.getUint("gtsc.lease");
         if (lease_ == 0 || lease_ * 4 > tsMax_)
             GTSC_FATAL("gtsc.lease=", lease_,
                        " must be in [1, tsMax/4] for ts_bits");

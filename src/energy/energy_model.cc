@@ -5,20 +5,20 @@ namespace gtsc::energy
 
 EnergyModel::EnergyModel(const sim::Config &cfg)
 {
-    smActivePj_ = cfg.getDouble("energy.sm_active_pj", 5000.0);
-    smIdlePj_ = cfg.getDouble("energy.sm_idle_pj", 1200.0);
-    instrPj_ = cfg.getDouble("energy.instr_pj", 800.0);
-    l1TagPj_ = cfg.getDouble("energy.l1_tag_pj", 12.0);
-    l1DataPj_ = cfg.getDouble("energy.l1_data_pj", 65.0);
-    l1MetaGtscPj_ = cfg.getDouble("energy.l1_meta_gtsc_pj", 9.0);
-    l1MetaTcPj_ = cfg.getDouble("energy.l1_meta_tc_pj", 6.0);
-    l2AccessPj_ = cfg.getDouble("energy.l2_access_pj", 240.0);
-    nocBytePj_ = cfg.getDouble("energy.noc_byte_pj", 2.6);
-    dramAccessPj_ = cfg.getDouble("energy.dram_access_pj", 2600.0);
-    l1StaticPj_ = cfg.getDouble("energy.l1_static_pj_cycle", 18.0);
-    l2StaticPj_ = cfg.getDouble("energy.l2_static_pj_cycle", 260.0);
-    nocStaticPj_ = cfg.getDouble("energy.noc_static_pj_cycle", 220.0);
-    dramStaticPj_ = cfg.getDouble("energy.dram_static_pj_cycle", 500.0);
+    smActivePj_ = cfg.getDouble("energy.sm_active_pj");
+    smIdlePj_ = cfg.getDouble("energy.sm_idle_pj");
+    instrPj_ = cfg.getDouble("energy.instr_pj");
+    l1TagPj_ = cfg.getDouble("energy.l1_tag_pj");
+    l1DataPj_ = cfg.getDouble("energy.l1_data_pj");
+    l1MetaGtscPj_ = cfg.getDouble("energy.l1_meta_gtsc_pj");
+    l1MetaTcPj_ = cfg.getDouble("energy.l1_meta_tc_pj");
+    l2AccessPj_ = cfg.getDouble("energy.l2_access_pj");
+    nocBytePj_ = cfg.getDouble("energy.noc_byte_pj");
+    dramAccessPj_ = cfg.getDouble("energy.dram_access_pj");
+    l1StaticPj_ = cfg.getDouble("energy.l1_static_pj_cycle");
+    l2StaticPj_ = cfg.getDouble("energy.l2_static_pj_cycle");
+    nocStaticPj_ = cfg.getDouble("energy.noc_static_pj_cycle");
+    dramStaticPj_ = cfg.getDouble("energy.dram_static_pj_cycle");
 }
 
 EnergyBreakdown

@@ -96,10 +96,9 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     : cfg_(cfg), params_(GpuParams::fromConfig(cfg)), builder_(builder),
       workload_(workload)
 {
-    maxCycles_ = cfg_.getUint("gpu.max_cycles", 500000000ULL);
-    watchdogWindow_ = cfg_.getUint("gpu.watchdog_cycles", 400000ULL);
-    flushL2BetweenKernels_ =
-        cfg_.getBool("gpu.flush_l2_between_kernels", true);
+    maxCycles_ = cfg_.getUint("gpu.max_cycles");
+    watchdogWindow_ = cfg_.getUint("gpu.watchdog_cycles");
+    flushL2BetweenKernels_ = cfg_.getBool("gpu.flush_l2_between_kernels");
 
     builder_.prepare(cfg_, stats_, params_);
 

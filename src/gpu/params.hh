@@ -79,15 +79,13 @@ struct GpuParams
     fromConfig(const sim::Config &cfg)
     {
         GpuParams p;
-        p.numSms = static_cast<unsigned>(cfg.getUint("gpu.num_sms", 16));
-        p.warpsPerSm =
-            static_cast<unsigned>(cfg.getUint("gpu.warps_per_sm", 48));
-        p.warpSize =
-            static_cast<unsigned>(cfg.getUint("gpu.warp_size", 32));
+        p.numSms = static_cast<unsigned>(cfg.getUint("gpu.num_sms"));
+        p.warpsPerSm = static_cast<unsigned>(cfg.getUint("gpu.warps_per_sm"));
+        p.warpSize = static_cast<unsigned>(cfg.getUint("gpu.warp_size"));
         p.numPartitions =
-            static_cast<unsigned>(cfg.getUint("gpu.num_partitions", 8));
+            static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
         p.consistency = consistencyFromString(
-            cfg.getString("gpu.consistency", "rc"));
+            cfg.getString("gpu.consistency"));
         if (p.warpSize == 0 || p.warpSize > kMaxWarpSize)
             GTSC_FATAL("gpu.warp_size must be in [1,", kMaxWarpSize, "]");
         if (p.numSms == 0 || p.warpsPerSm == 0 || p.numPartitions == 0)

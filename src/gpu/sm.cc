@@ -25,10 +25,9 @@ Sm::Sm(SmId id, const GpuParams &params, const sim::Config &cfg,
     waitFenceMask_.resize(params_.warpsPerSm);
     retryMask_.resize(params_.warpsPerSm);
     storeFifoMask_.resize(params_.warpsPerSm);
-    issueWidth_ =
-        static_cast<unsigned>(cfg.getUint("gpu.issue_width", 1));
-    spinBackoff_ = cfg.getUint("gpu.spin_backoff_cycles", 16);
-    std::string sched = cfg.getString("gpu.scheduler", "gto");
+    issueWidth_ = static_cast<unsigned>(cfg.getUint("gpu.issue_width"));
+    spinBackoff_ = cfg.getUint("gpu.spin_backoff_cycles");
+    std::string sched = cfg.getString("gpu.scheduler");
     if (sched == "gto")
         scheduler_ = Scheduler::Gto;
     else if (sched == "rr")

@@ -34,7 +34,7 @@ runOne(const sim::Config &base, const std::string &protocol,
     auto builder = protocols::makeProtocol(protocol);
     auto wl = workloads::makeWorkload(workload, cfg);
 
-    bool check = cfg.getBool("check.enabled", true);
+    bool check = cfg.getBool("check.enabled");
     CoherenceChecker checker;
 
     gpu::GpuSystem system(cfg, *builder, *wl,
@@ -99,11 +99,11 @@ runOne(const sim::Config &base, const std::string &protocol,
     r.fastForwarded = system.fastForwardedCycles();
     r.stats = system.stats();
     r.obs = obs;
-    std::string trace_dir = cfg.getString("obs.trace_dir", "");
+    std::string trace_dir = cfg.getString("obs.trace_dir");
     if (obs && !trace_dir.empty()) {
         r.obsFiles = obs->writeFiles(
             trace_dir, obs::fileStem(r.workload, protocol, consistency,
-                                     cfg.explicitString()));
+                                     cfg.canonicalString()));
     }
     return r;
 }
@@ -118,18 +118,6 @@ benchConfig()
     cfg.setInt("l1.size_bytes", 16 * 1024);
     cfg.setInt("l2.partition_bytes", 128 * 1024);
     cfg.setDouble("wl.scale", 1.0);
-    return cfg;
-}
-
-sim::Config
-paperConfig()
-{
-    sim::Config cfg;
-    cfg.setInt("gpu.num_sms", 16);
-    cfg.setInt("gpu.warps_per_sm", 48);
-    cfg.setInt("gpu.num_partitions", 8);
-    cfg.setInt("l1.size_bytes", 16 * 1024);
-    cfg.setInt("l2.partition_bytes", 128 * 1024);
     return cfg;
 }
 

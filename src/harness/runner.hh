@@ -104,9 +104,6 @@ std::uint64_t runOneCallCount();
  */
 sim::Config benchConfig();
 
-/** The paper's machine (16 SMs x 48 warps, 8 x 128KB L2). */
-sim::Config paperConfig();
-
 /** Geometric mean helper for figure summaries. */
 double geomean(const std::vector<double> &xs);
 

@@ -37,6 +37,13 @@ SweepRunner::defaultJobs()
     return sim::ThreadPool::hardwareWorkers();
 }
 
+unsigned
+SweepRunner::threadsFor(unsigned jobs, std::size_t misses)
+{
+    return static_cast<unsigned>(std::min<std::size_t>(
+        {jobs, misses, sim::ThreadPool::hardwareWorkers()}));
+}
+
 bool
 parseWholeNumber(const std::string &text, std::uint64_t max,
                  std::uint64_t *out)
@@ -103,8 +110,7 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
             opts_.onResult(i, results[i], false);
     };
 
-    unsigned jobs = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, misses.size()));
+    unsigned jobs = threadsFor(jobs_, misses.size());
     if (jobs <= 1) {
         for (std::size_t i : misses) {
             runSpec(i);

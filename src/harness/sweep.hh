@@ -62,9 +62,11 @@ class SweepCache
 struct SweepOptions
 {
     /**
-     * Worker threads. 0 resolves through the GTSC_JOBS environment
-     * variable, falling back to the hardware thread count. 1 runs
-     * the sweep inline on the calling thread.
+     * Worker threads, an upper bound: run() starts no more than one
+     * per cell to simulate and one per hardware thread. 0 resolves
+     * through the GTSC_JOBS environment variable, falling back to the
+     * hardware thread count. 1 runs the sweep inline on the calling
+     * thread.
      */
     unsigned jobs = 0;
 
@@ -103,11 +105,17 @@ class SweepRunner
      */
     std::vector<RunResult> run(const std::vector<RunSpec> &specs);
 
-    /** The worker count run() will use (options resolved). */
+    /** The requested worker count, options resolved (see threadsFor). */
     unsigned jobs() const { return jobs_; }
 
     /** GTSC_JOBS environment override, else hardware threads. */
     static unsigned defaultJobs();
+
+    /**
+     * The threads run() starts to simulate `misses` cells: `jobs`,
+     * capped at the cell count and at the hardware thread count.
+     */
+    static unsigned threadsFor(unsigned jobs, std::size_t misses);
 
   private:
     SweepOptions opts_;

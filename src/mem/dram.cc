@@ -15,18 +15,18 @@ DramChannel::DramChannel(const sim::Config &cfg, sim::StatSet &stats,
     rowHits_ = &stats_.counter(name_ + ".row_hits");
     rowMisses_ = &stats_.counter(name_ + ".row_misses");
     frfcfsReorders_ = &stats_.counter(name_ + ".frfcfs_reorders");
-    tRowHit_ = cfg.getUint("dram.t_row_hit", 40);
-    tRowMiss_ = cfg.getUint("dram.t_row_miss", 100);
-    numBanks_ = static_cast<unsigned>(cfg.getUint("dram.banks", 8));
-    std::string sched = cfg.getString("dram.scheduler", "fcfs");
+    tRowHit_ = cfg.getUint("dram.t_row_hit");
+    tRowMiss_ = cfg.getUint("dram.t_row_miss");
+    numBanks_ = static_cast<unsigned>(cfg.getUint("dram.banks"));
+    std::string sched = cfg.getString("dram.scheduler");
     if (sched == "frfcfs")
         frfcfs_ = true;
     else if (sched != "fcfs")
         GTSC_FATAL("dram.scheduler must be fcfs|frfcfs, got '", sched,
                    "'");
-    schedWindow_ = cfg.getUint("dram.sched_window", 16);
-    std::uint64_t bus_bw = cfg.getUint("dram.bus_bytes_per_cycle", 16);
-    std::uint64_t row_bytes = cfg.getUint("dram.row_bytes", 2048);
+    schedWindow_ = cfg.getUint("dram.sched_window");
+    std::uint64_t bus_bw = cfg.getUint("dram.bus_bytes_per_cycle");
+    std::uint64_t row_bytes = cfg.getUint("dram.row_bytes");
     if (bus_bw == 0 || numBanks_ == 0)
         GTSC_FATAL("dram.bus_bytes_per_cycle and dram.banks must be > 0");
     burstCycles_ = (kLineBytes + bus_bw - 1) / bus_bw;

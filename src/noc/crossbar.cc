@@ -13,8 +13,8 @@ Crossbar::Crossbar(unsigned num_src, unsigned num_dst,
                    const std::string &name)
     : stats_(stats), name_(name), numSrc_(num_src), numDst_(num_dst)
 {
-    bytesPerCycle_ = cfg.getUint("noc.bytes_per_cycle", 32);
-    hopLatency_ = cfg.getUint("noc.hop_latency", 12);
+    bytesPerCycle_ = cfg.getUint("noc.bytes_per_cycle");
+    hopLatency_ = cfg.getUint("noc.hop_latency");
     if (bytesPerCycle_ == 0)
         GTSC_FATAL("noc.bytes_per_cycle must be > 0");
     srcFree_.assign(numSrc_, 0);

@@ -16,8 +16,8 @@ Mesh::Mesh(unsigned num_src, unsigned num_dst, bool src_are_sms,
     : stats_(stats), name_(name), numSrc_(num_src), numDst_(num_dst),
       srcAreSms_(src_are_sms)
 {
-    bytesPerCycle_ = cfg.getUint("noc.bytes_per_cycle", 32);
-    hopLatency_ = cfg.getUint("noc.mesh_hop_latency", 3);
+    bytesPerCycle_ = cfg.getUint("noc.bytes_per_cycle");
+    hopLatency_ = cfg.getUint("noc.mesh_hop_latency");
     if (bytesPerCycle_ == 0)
         GTSC_FATAL("noc.bytes_per_cycle must be > 0");
 
@@ -246,7 +246,7 @@ makeNetwork(unsigned num_src, unsigned num_dst, bool src_are_sms,
             const sim::Config &cfg, sim::StatSet &stats,
             const std::string &name)
 {
-    std::string topo = cfg.getString("noc.topology", "xbar");
+    std::string topo = cfg.getString("noc.topology");
     if (topo == "xbar" || topo == "crossbar")
         return std::make_unique<Crossbar>(num_src, num_dst, cfg, stats,
                                           name);

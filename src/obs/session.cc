@@ -35,25 +35,27 @@ splitCsv(const std::string &s)
 std::unique_ptr<Session>
 Session::fromConfig(const sim::Config &cfg)
 {
-    bool trace = cfg.getBool("obs.trace", false);
-    bool transcript = cfg.getBool("obs.transcript", trace);
-    Cycle interval =
-        cfg.getUint("obs.sample_interval", trace ? 1000 : 0);
+    bool trace = cfg.getBool("obs.trace");
+    bool transcript =
+        cfg.has("obs.transcript") ? cfg.getBool("obs.transcript") : trace;
+    Cycle interval = cfg.has("obs.sample_interval")
+                         ? cfg.getUint("obs.sample_interval")
+                         : (trace ? 1000 : 0);
     if (!trace && !transcript && interval == 0)
         return nullptr;
 
     auto s = std::unique_ptr<Session>(new Session);
     if (trace) {
         s->tracer_ = std::make_unique<Tracer>(
-            cfg.getUint("obs.ring_capacity", 65536));
+            cfg.getUint("obs.ring_capacity"));
     }
     if (transcript) {
         s->transcript_ = std::make_unique<Transcript>(
-            cfg.getUint("obs.transcript_depth", 64),
-            cfg.getString("obs.transcript_filter", ""));
+            cfg.getUint("obs.transcript_depth"),
+            cfg.getString("obs.transcript_filter"));
     }
     s->sampleInterval_ = interval;
-    s->sampleKeys_ = splitCsv(cfg.getString("obs.sample_keys", ""));
+    s->sampleKeys_ = splitCsv(cfg.getString("obs.sample_keys"));
     return s;
 }
 

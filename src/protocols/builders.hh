@@ -33,7 +33,7 @@ class TcBuilder : public gpu::ProtocolBuilder
             const gpu::GpuParams &params) override
     {
         (void)stats;
-        std::string mode = cfg.getString("tc.mode", "auto");
+        std::string mode = cfg.getString("tc.mode");
         if (mode == "strong")
             strong_ = true;
         else if (mode == "weak")

@@ -12,13 +12,11 @@ namespace gtsc::protocols
 NonCohL1::NonCohL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
                    sim::EventQueue &events, mem::CoherenceProbe *probe)
     : sm_(sm), stats_(stats), events_(events), probe_(probe),
-      array_(cfg.getUint("l1.size_bytes", 16 * 1024),
-             cfg.getUint("l1.assoc", 4)),
-      mshr_(cfg.getUint("l1.mshr_entries", 32))
+      array_(cfg.getUint("l1.size_bytes"), cfg.getUint("l1.assoc")),
+      mshr_(cfg.getUint("l1.mshr_entries"))
 {
-    numPartitions_ =
-        static_cast<unsigned>(cfg.getUint("gpu.num_partitions", 8));
-    hitLatency_ = std::max<Cycle>(1, cfg.getUint("l1.hit_latency", 4));
+    numPartitions_ = static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
+    hitLatency_ = std::max<Cycle>(1, cfg.getUint("l1.hit_latency"));
 
     hits_ = &stats_.counter("l1.hits");
     missCold_ = &stats_.counter("l1.miss_cold");

@@ -15,12 +15,11 @@ SimpleL2::SimpleL2(PartitionId part, const sim::Config &cfg,
                    mem::CoherenceProbe *probe)
     : part_(part), stats_(stats), events_(events), dram_(dram),
       memory_(memory), probe_(probe),
-      array_(cfg.getUint("l2.partition_bytes", 128 * 1024),
-             cfg.getUint("l2.assoc", 8))
+      array_(cfg.getUint("l2.partition_bytes"), cfg.getUint("l2.assoc"))
 {
-    ports_ = static_cast<unsigned>(cfg.getUint("l2.ports", 1));
-    accessLatency_ = cfg.getUint("l2.access_latency", 20);
-    mshrCapacity_ = cfg.getUint("l2.mshr_entries", 32);
+    ports_ = static_cast<unsigned>(cfg.getUint("l2.ports"));
+    accessLatency_ = cfg.getUint("l2.access_latency");
+    mshrCapacity_ = cfg.getUint("l2.mshr_entries");
 
     accesses_ = &stats_.counter("l2.accesses");
     hits_ = &stats_.counter("l2.hits");

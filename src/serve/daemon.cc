@@ -152,10 +152,18 @@ main(int argc, char **argv)
             noStore = true;
         } else if (arg == "--help" || arg == "-h") {
             return usage(argv[0]);
-        } else if (!base.parseOverride(arg)) {
-            std::fprintf(stderr, "gtscd: bad argument '%s'\n",
-                         argv[i]);
-            return usage(argv[0]);
+        } else {
+            try {
+                if (!base.parseOverride(arg)) {
+                    std::fprintf(stderr, "gtscd: bad argument '%s'\n",
+                                 argv[i]);
+                    return usage(argv[0]);
+                }
+            } catch (const std::exception &e) {
+                // An undeclared key or a value of the wrong type.
+                std::fprintf(stderr, "gtscd: %s\n", e.what());
+                return 2;
+            }
         }
     }
 

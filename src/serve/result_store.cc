@@ -356,12 +356,11 @@ ResultStore::entryCount() const
 std::shared_ptr<ResultStore>
 storeFromConfig(const sim::Config &cfg)
 {
-    if (!cfg.getBool("sweep.store", false))
+    if (!cfg.getBool("sweep.store"))
         return nullptr;
     ResultStore::Options opts;
-    opts.root = cfg.getString("sweep.store_path", "");
-    opts.maxBytes =
-        cfg.getUint("sweep.store_max_bytes", 256ull << 20);
+    opts.root = cfg.getString("sweep.store_path");
+    opts.maxBytes = cfg.getUint("sweep.store_max_bytes");
     return std::make_shared<ResultStore>(std::move(opts));
 }
 

@@ -48,7 +48,13 @@ applyConfigObject(const json::Value *obj, sim::Config *cfg,
                      "' must be a scalar";
             return false;
         }
-        cfg->set(kv.first, kv.second.asString());
+        try {
+            cfg->set(kv.first, kv.second.asString());
+        } catch (const std::exception &e) {
+            // An undeclared key or a value of the wrong type.
+            *error = e.what();
+            return false;
+        }
     }
     return true;
 }

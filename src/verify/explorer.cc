@@ -94,13 +94,11 @@ ExploreResult
 explore(const sim::Config &cfg)
 {
     ModelSim model(cfg);
-    const std::uint64_t maxStates =
-        cfg.getUint("verify.max_states", 1000000);
-    const std::uint64_t maxDepth = cfg.getUint("verify.max_depth", 64);
+    const std::uint64_t maxStates = cfg.getUint("verify.max_states");
+    const std::uint64_t maxDepth = cfg.getUint("verify.max_depth");
     const std::uint32_t maxEpochs = static_cast<std::uint32_t>(
-        cfg.getUint("verify.max_epochs", 3));
-    const std::uint64_t maxWitnesses =
-        cfg.getUint("verify.max_witnesses", 1);
+        cfg.getUint("verify.max_epochs"));
+    const std::uint64_t maxWitnesses = cfg.getUint("verify.max_witnesses");
 
     ExploreResult result;
     ExploreStats &stats = result.stats;

@@ -30,9 +30,12 @@
  *                       check_verify.py gates on this)
  *
  *   Exit 2 on a usage error or rejected input (e.g. verify.sms=9,
- *   verify.max_states=abc); the reason goes to stderr.
+ *   verify.max_states=abc, an undeclared key, --count 0, --seed -1);
+ *   the reason goes to stderr.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "harness/runner.hh"
+#include "harness/sweep.hh"
 #include "sim/config.hh"
 #include "verify/explorer.hh"
 #include "verify/litmus_gen.hh"
@@ -77,6 +81,14 @@ usage()
                  "--litmus-replay '<spec>' [--count N] [--seed S]\n"
                  "                   [--rollover] [--mutation NAME] "
                  "[--out FILE.json] [key=value ...]\n");
+    return 2;
+}
+
+/** Reject a numeric flag whose value is not a whole number. */
+int
+badValue(const char *flag, const char *text)
+{
+    std::fprintf(stderr, "gtsc_verify: bad %s value '%s'\n", flag, text);
     return 2;
 }
 
@@ -182,9 +194,12 @@ runReplay(const sim::Config &base, const std::string &specText,
         return 2;
     }
     std::vector<std::pair<std::string, std::string>> cells;
+    // A one-cell replay runs SC unless gpu.consistency is given.
     if (!protocol.empty())
         cells.emplace_back(protocol,
-                           base.getString("gpu.consistency", "sc"));
+                           base.has("gpu.consistency")
+                               ? base.getString("gpu.consistency")
+                               : "sc");
     else
         cells = verify::litmusMatrix(spec);
 
@@ -209,8 +224,8 @@ run(int argc, char **argv)
     std::string protocol;
     std::string outPath;
     unsigned count = 20;
+    std::uint64_t seed = 1;
     sim::Config cfg = harness::benchConfig();
-    std::uint64_t seed = cfg.getUint("sim.seed", 1);
 
     for (int i = 1; i < argc; ++i)
     {
@@ -234,14 +249,18 @@ run(int argc, char **argv)
             const char *v = next();
             if (!v)
                 return usage();
-            count = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            std::uint64_t n = 0;
+            if (!harness::parseWholeNumber(v, UINT_MAX, &n) || n == 0)
+                return badValue("--count", v);
+            count = static_cast<unsigned>(n);
         }
         else if (arg == "--seed")
         {
             const char *v = next();
             if (!v)
                 return usage();
-            seed = std::strtoull(v, nullptr, 0);
+            if (!harness::parseWholeNumber(v, UINT64_MAX, &seed))
+                return badValue("--seed", v);
         }
         else if (arg == "--out")
         {
@@ -276,7 +295,7 @@ run(int argc, char **argv)
         }
         else if (arg.find('=') != std::string::npos)
         {
-            cfg.parseOverride(arg);
+            cfg.parseOverrides({arg});
         }
         else
         {

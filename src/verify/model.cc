@@ -21,7 +21,7 @@ sim::Config
 makeModelConfig(const sim::Config &user)
 {
     sim::Config cfg = user;
-    cfg.setInt("gpu.num_sms", user.getInt("verify.sms", 2));
+    cfg.set("gpu.num_sms", std::to_string(user.getUint("verify.sms")));
     cfg.setInt("gpu.warps_per_sm", 1);
     cfg.setInt("gpu.warp_size", 1);
     cfg.setInt("gpu.num_partitions", 1);
@@ -44,23 +44,21 @@ ModelSim::ModelSim(const sim::Config &user_cfg)
       domainPtr_(std::make_unique<core::TsDomain>(cfg_, stats_)),
       domain_(*domainPtr_)
 {
-    sms_ = static_cast<unsigned>(cfg_.getUint("verify.sms", 2));
-    lines_ = static_cast<unsigned>(cfg_.getUint("verify.lines", 2));
+    sms_ = static_cast<unsigned>(cfg_.getUint("verify.sms"));
+    lines_ = static_cast<unsigned>(cfg_.getUint("verify.lines"));
     opsPerThread_ =
-        static_cast<unsigned>(cfg_.getUint("verify.ops_per_thread", 2));
-    std::string cons = cfg_.getString("verify.consistency", "sc");
+        static_cast<unsigned>(cfg_.getUint("verify.ops_per_thread"));
+    std::string cons = cfg_.getString("verify.consistency");
     if (cons == "sc")
         maxOutstanding_ = 1;
     else if (cons == "rc")
         maxOutstanding_ = static_cast<unsigned>(
-            cfg_.getUint("verify.max_outstanding", 2));
+            cfg_.getUint("verify.max_outstanding"));
     else
         GTSC_FATAL("verify.consistency must be sc|rc, got '", cons, "'");
-    boostBudget_ =
-        static_cast<unsigned>(cfg_.getUint("verify.boosts", 0));
-    evictions_ = cfg_.getBool("verify.evictions", true);
-    settleCap_ =
-        static_cast<unsigned>(cfg_.getUint("verify.settle_cap", 20000));
+    boostBudget_ = static_cast<unsigned>(cfg_.getUint("verify.boosts"));
+    evictions_ = cfg_.getBool("verify.evictions");
+    settleCap_ = static_cast<unsigned>(cfg_.getUint("verify.settle_cap"));
     if (sms_ == 0 || sms_ > 8 || lines_ == 0 || lines_ > 4)
         GTSC_FATAL("verify.sms must be in [1,8] and verify.lines in "
                    "[1,4], got ",

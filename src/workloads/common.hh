@@ -65,8 +65,8 @@ struct WlParams
     fromConfig(const sim::Config &cfg)
     {
         WlParams p;
-        p.scale = cfg.getDouble("wl.scale", 1.0);
-        p.seed = cfg.getUint("wl.seed", 1);
+        p.scale = cfg.getDouble("wl.scale");
+        p.seed = cfg.getUint("wl.seed");
         return p;
     }
 

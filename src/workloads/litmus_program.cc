@@ -459,7 +459,7 @@ makeLitmusWorkload(LitmusSpec spec)
 std::unique_ptr<gpu::Workload>
 makeLitmusGen(const sim::Config &cfg)
 {
-    std::string text = cfg.getString("verify.litmus_spec", "");
+    std::string text = cfg.getString("verify.litmus_spec");
     if (text.empty())
         GTSC_FATAL("workload 'litmusgen' requires verify.litmus_spec");
     LitmusSpec spec;

@@ -1,5 +1,7 @@
 #include "harness/runner.hh"
 
+#include "gpu/params.hh"
+
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -82,12 +84,13 @@ TEST(Runner, ConsistencyOverridesConfig)
 
 TEST(Runner, ConfigsProvideExpectedShapes)
 {
-    sim::Config paper = harness::paperConfig();
-    EXPECT_EQ(paper.getInt("gpu.num_sms", 0), 16);
-    EXPECT_EQ(paper.getInt("gpu.warps_per_sm", 0), 48);
-    EXPECT_EQ(paper.getInt("gpu.num_partitions", 0), 8);
+    // The declared defaults are the paper's machine.
+    gpu::GpuParams paper = gpu::GpuParams::fromConfig(sim::Config());
+    EXPECT_EQ(paper.numSms, 16u);
+    EXPECT_EQ(paper.warpsPerSm, 48u);
+    EXPECT_EQ(paper.numPartitions, 8u);
     sim::Config bench = harness::benchConfig();
-    EXPECT_GT(bench.getInt("gpu.num_sms", 0), 0);
+    EXPECT_GT(bench.getUint("gpu.num_sms"), 0u);
 }
 
 

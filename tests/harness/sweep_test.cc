@@ -9,12 +9,16 @@
 
 #include "harness/sweep.hh"
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "sim/thread_pool.hh"
 
 using namespace gtsc;
 using harness::RunResult;
@@ -153,7 +157,7 @@ TEST(Sweep, FailureSkipsLaterCellsAndReportsTheLowest)
     // worker 1 before it reaches cell 7: at least cell 7 is skipped.
     std::vector<RunSpec> specs = matrix();
     ASSERT_GE(specs.size(), 8u);
-    specs[0].config.set("gpu.num_sms", "abc");
+    specs[0].config.setInt("gpu.warp_size", 64);
     specs[5].protocol = "mesi";
     SweepOptions opts;
     opts.jobs = 2;
@@ -163,7 +167,7 @@ TEST(Sweep, FailureSkipsLaterCellsAndReportsTheLowest)
         runner.run(specs);
         ADD_FAILURE() << "the sweep did not throw";
     } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("gpu.num_sms"),
+        EXPECT_NE(std::string(e.what()).find("gpu.warp_size"),
                   std::string::npos)
             << e.what();
     }
@@ -188,4 +192,14 @@ TEST(Sweep, ParseWholeNumberTakesDigitsUpToMax)
         EXPECT_FALSE(harness::parseWholeNumber(bad, UINT32_MAX, &v))
             << bad;
     EXPECT_EQ(v, 7u);
+}
+
+TEST(Sweep, ThreadsAreCappedAtCellsAndHardware)
+{
+    // A pure function: nothing here starts a thread.
+    const unsigned hw = sim::ThreadPool::hardwareWorkers();
+    EXPECT_EQ(SweepRunner::threadsFor(UINT_MAX, 1000000), hw);
+    EXPECT_EQ(SweepRunner::threadsFor(UINT_MAX, 1), 1u);
+    EXPECT_EQ(SweepRunner::threadsFor(1, 1000000), 1u);
+    EXPECT_EQ(SweepRunner::threadsFor(2, 1000000), std::min(2u, hw));
 }

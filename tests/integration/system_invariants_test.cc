@@ -142,9 +142,9 @@ TEST(SystemInvariants, ScaleGrowsWork)
 
 TEST(SystemInvariants, PaperScaleConfigRuns)
 {
-    // One sanity run at the paper's machine shape (scaled-down
-    // workload to keep the test fast).
-    sim::Config cfg = harness::paperConfig();
+    // One sanity run at the paper's machine shape, the declared
+    // defaults (scaled-down workload to keep the test fast).
+    sim::Config cfg;
     cfg.setDouble("wl.scale", 0.2);
     RunResult r = runOne(cfg, "gtsc", "rc", "bh");
     EXPECT_EQ(r.checkerViolations, 0u);

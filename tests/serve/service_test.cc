@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -273,6 +274,31 @@ TEST(Service, ErrorsAreReportedNotFatal)
     expectError(
         R"({"op":"run","cells":[{"workload":"bh",)"
         R"("protocol":"gtsc","consistency":"weak"}]})");
+
+    // An undeclared or ill-typed knob, in the request's or a cell's
+    // "config", is named in the error line, and no cell runs.
+    const std::string cell =
+        R"({"workload":"bh","protocol":"tc","consistency":"sc")";
+    const std::pair<std::string, std::string> badKnobs[] = {
+        {R"({"op":"run","config":{"gpu.nmu_sms":3},"cells":[)" + cell +
+             "}]}",
+         "unknown config key 'gpu.nmu_sms'"},
+        {R"({"op":"run","cells":[)" + cell +
+             R"(,"config":{"gpu.nmu_sms":3}}]})",
+         "cell 0: fatal: unknown config key 'gpu.nmu_sms'"},
+        {R"({"op":"run","config":{"gpu.num_sms":"abc"},"cells":[)" +
+             cell + "}]}",
+         "config key 'gpu.num_sms' is not an unsigned integer"},
+    };
+    const std::uint64_t before = harness::runOneCallCount();
+    for (const auto &[line, message] : badKnobs) {
+        expectError(line);
+        EXPECT_NE(ask(service, line).last().get("message")->str.find(
+                      message),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_EQ(harness::runOneCallCount(), before);
 
     // Blank lines are ignored, and the service still works after
     // all of the above.
