@@ -1,10 +1,10 @@
 #include "harness/runner.hh"
 
-#include "gpu/params.hh"
-
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+
+#include "gpu/params.hh"
 
 using namespace gtsc;
 using harness::RunResult;
