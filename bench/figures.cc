@@ -18,6 +18,7 @@
 #include <algorithm>
 
 #include "bench_common.hh"
+#include "harness/report.hh"
 
 using namespace gtsc;
 using namespace gtsc::bench;
@@ -47,15 +48,6 @@ cycleRatio(const harness::RunResult &num, const harness::RunResult &den)
 {
     return static_cast<double>(num.cycles) /
            static_cast<double>(den.cycles);
-}
-
-/** L1 hits as a percentage of all L1 probes (0 with no probes). */
-double
-l1HitPercent(const harness::RunResult &r)
-{
-    double probes =
-        static_cast<double>(r.l1Hits + r.l1MissCold + r.l1MissExpired);
-    return probes > 0 ? 100.0 * r.l1Hits / probes : 0.0;
 }
 
 /**
@@ -182,7 +174,8 @@ fig13Stalls(Sweep &sweep)
         "Figure 13: memory pipeline stalls normalized to BL (no L1); "
         "lower is better",
         [](const harness::RunResult &r) {
-            return static_cast<double>(r.memStallCycles);
+            return static_cast<double>(
+                r.stats.get("sm.mem_stall_cycles"));
         });
     auto ratio = [&](const std::vector<std::string> &set) {
         return geo(norm, "TC-RC", set) / geo(norm, "G-TSC-RC", set);
@@ -246,7 +239,7 @@ fig14LeaseSweep(Sweep &sweep)
             roll.row(displayName(wl));
             roll.cellInt(l);
             roll.cellInt(r.cycles);
-            roll.cellInt(r.tsResets);
+            roll.cellInt(r.stats.get("gtsc.ts_resets"));
         }
     }
     sweep.print("%s\n", roll.toString().c_str());
@@ -266,7 +259,7 @@ fig15NocTraffic(Sweep &sweep)
         "Figure 15: NoC traffic normalized to BL (no L1); lower is "
         "better",
         [](const harness::RunResult &r) {
-            return static_cast<double>(r.nocBytes);
+            return static_cast<double>(harness::nocBytes(r));
         });
     const auto &coherent = workloads::coherentSet();
     sweep.print("G-TSC-RC traffic / TC-RC traffic (coherence set) = "
@@ -455,17 +448,17 @@ ablationExpiryMisses(Sweep &sweep)
         const harness::RunResult &tc = sweep.get(kTcRc, wl);
         const harness::RunResult &gt = sweep.get(kGtscRc, wl);
         table.row(displayName(wl));
-        table.cellInt(tc.l1MissExpired);
-        table.cellInt(gt.l1MissExpired);
-        double ratio =
-            tc.l1MissExpired
-                ? static_cast<double>(gt.l1MissExpired) /
-                      static_cast<double>(tc.l1MissExpired)
-                : 1.0;
+        std::uint64_t tcExpired = tc.stats.get("l1.miss_expired");
+        std::uint64_t gtExpired = gt.stats.get("l1.miss_expired");
+        table.cellInt(tcExpired);
+        table.cellInt(gtExpired);
+        double ratio = tcExpired ? static_cast<double>(gtExpired) /
+                                       static_cast<double>(tcExpired)
+                                 : 1.0;
         table.cell(ratio);
-        table.cell(l1HitPercent(tc), 1);
-        table.cell(l1HitPercent(gt), 1);
-        if (tc.l1MissExpired > 0)
+        table.cell(harness::l1HitPercent(tc), 1);
+        table.cell(harness::l1HitPercent(gt), 1);
+        if (tcExpired > 0)
             ratios.push_back(ratio);
     }
     sweep.print("Ablation (Sec VI-E): L1 lease-expiration misses, "
@@ -615,14 +608,16 @@ ablationAdaptiveLease(Sweep &sweep)
         table.row(displayName(wl));
         table.cellInt(fixed.cycles);
         table.cellInt(adapt.cycles);
-        table.cellInt(fixed.renewalsSent);
-        table.cellInt(adapt.renewalsSent);
-        table.cellInt(fixed.tsResets);
-        table.cellInt(adapt.tsResets);
-        if (fixed.renewalsSent > 0) {
+        std::uint64_t fixedRenewals = fixed.stats.get("l1.renewals_sent");
+        std::uint64_t adaptRenewals = adapt.stats.get("l1.renewals_sent");
+        table.cellInt(fixedRenewals);
+        table.cellInt(adaptRenewals);
+        table.cellInt(fixed.stats.get("gtsc.ts_resets"));
+        table.cellInt(adapt.stats.get("gtsc.ts_resets"));
+        if (fixedRenewals > 0) {
             renewal_ratio.push_back(
-                (static_cast<double>(adapt.renewalsSent) + 1.0) /
-                (static_cast<double>(fixed.renewalsSent) + 1.0));
+                (static_cast<double>(adaptRenewals) + 1.0) /
+                (static_cast<double>(fixedRenewals) + 1.0));
         }
         cycle_ratio.push_back(cycleRatio(adapt, fixed));
     }
@@ -661,8 +656,8 @@ ablationScheduler(Sweep &sweep)
         table.cellInt(res["gto"]->cycles);
         table.cellInt(res["rr"]->cycles);
         table.cellInt(res["oldest"]->cycles);
-        table.cell(l1HitPercent(*res["gto"]), 1);
-        table.cell(l1HitPercent(*res["rr"]), 1);
+        table.cell(harness::l1HitPercent(*res["gto"]), 1);
+        table.cell(harness::l1HitPercent(*res["rr"]), 1);
     }
     sweep.print("Extension: warp-scheduler sensitivity, G-TSC-RC\n\n");
     sweep.print("%s\n", table.toString().c_str());

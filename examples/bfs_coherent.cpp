@@ -10,22 +10,21 @@
  */
 
 #include <cstdio>
+#include <exception>
 
-#include "harness/runner.hh"
+#include "harness/report.hh"
 #include "harness/table.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace gtsc;
     sim::Config cfg = harness::benchConfig();
     cfg.setBool("check.enabled", true); // demonstrate checked runs
-    for (int i = 1; i < argc; ++i) {
-        if (!cfg.parseOverride(argv[i])) {
-            std::fprintf(stderr, "bad override '%s'\n", argv[i]);
-            return 1;
-        }
-    }
+    cfg.parseOverrides(std::vector<std::string>(argv + 1, argv + argc));
 
     struct Cfg
     {
@@ -48,14 +47,12 @@ main(int argc, char **argv)
             harness::runOne(cfg, c.proto, c.cons, "bfs");
         if (base == 0)
             base = static_cast<double>(r.cycles);
-        double probes = static_cast<double>(
-            r.l1Hits + r.l1MissCold + r.l1MissExpired);
         table.row(c.label);
         table.cellInt(r.cycles);
         table.cell(base / static_cast<double>(r.cycles));
-        table.cell(probes > 0 ? 100.0 * r.l1Hits / probes : 0.0, 1);
-        table.cellInt(r.renewalsSent);
-        table.cell(r.nocBytes / 1024.0, 1);
+        table.cell(harness::l1HitPercent(r), 1);
+        table.cellInt(r.stats.get("l1.renewals_sent"));
+        table.cell(harness::nocBytes(r) / 1024.0, 1);
         table.cell(r.energy.total() * 1e6, 1);
         table.cellInt(r.checkerViolations);
     }
@@ -68,4 +65,17 @@ main(int argc, char **argv)
                 "no write stalls, data-less renewals, and no global "
                 "synchronized counters.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "bfs_coherent: %s\n", e.what());
+        return 2;
+    }
 }

@@ -9,24 +9,23 @@
  */
 
 #include <cstdio>
+#include <exception>
 
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace gtsc;
     sim::Config cfg;
     cfg.setInt("gpu.num_sms", 4);
     cfg.setInt("gpu.warps_per_sm", 4);
     cfg.setInt("gpu.num_partitions", 2);
-    for (int i = 1; i < argc; ++i) {
-        if (!cfg.parseOverride(argv[i])) {
-            std::fprintf(stderr, "bad override '%s'\n", argv[i]);
-            return 1;
-        }
-    }
+    cfg.parseOverrides(std::vector<std::string>(argv + 1, argv + argc));
 
     harness::Table table({"protocol", "model", "MP: data after flag",
                           "SB: (0,0) forbidden", "checked loads",
@@ -58,4 +57,17 @@ main(int argc, char **argv)
                 "SB: with a fence between each thread's store and "
                 "load, both threads reading 0 is forbidden.\n");
     return failures == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "consistency_litmus: %s\n", e.what());
+        return 2;
+    }
 }

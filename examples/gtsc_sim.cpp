@@ -124,13 +124,11 @@ cmdSweep(const Args &args)
         for (const char *cons : {"sc", "tso", "rc"}) {
             harness::RunResult r = harness::runOne(cfg, proto, cons, wl);
             all.push_back(r);
-            double probes = static_cast<double>(
-                r.l1Hits + r.l1MissCold + r.l1MissExpired);
             table.row(proto);
             table.cell(cons);
             table.cellInt(r.cycles);
-            table.cell(probes > 0 ? 100.0 * r.l1Hits / probes : 0.0, 1);
-            table.cell(r.nocBytes / 1024.0, 1);
+            table.cell(harness::l1HitPercent(r), 1);
+            table.cell(harness::nocBytes(r) / 1024.0, 1);
             table.cell(r.energy.total() * 1e6, 1);
             table.cellInt(r.checkerViolations);
         }

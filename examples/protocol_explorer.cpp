@@ -12,13 +12,16 @@
  */
 
 #include <cstdio>
-#include <cstring>
+#include <exception>
 
 #include "harness/runner.hh"
 #include "sim/log.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     if (argc < 4) {
         std::fprintf(stderr,
@@ -29,12 +32,7 @@ main(int argc, char **argv)
     }
     gtsc::sim::setLogLevel(1);
     gtsc::sim::Config cfg = gtsc::harness::benchConfig();
-    for (int i = 4; i < argc; ++i) {
-        if (!cfg.parseOverride(argv[i])) {
-            std::fprintf(stderr, "bad override '%s'\n", argv[i]);
-            return 2;
-        }
-    }
+    cfg.parseOverrides(std::vector<std::string>(argv + 4, argv + argc));
 
     gtsc::harness::RunResult r =
         gtsc::harness::runOne(cfg, argv[1], argv[2], argv[3]);
@@ -54,4 +52,17 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.checkerViolations));
     std::printf("workload.verified %s\n", r.verified ? "true" : "false");
     return (r.checkerViolations == 0 && r.verified) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "protocol_explorer: %s\n", e.what());
+        return 2;
+    }
 }

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <deque>
+#include <exception>
 
 #include "core/gtsc_builder.hh"
 #include "core/gtsc_l1.hh"
@@ -51,8 +52,7 @@ struct TraceRig
         cfg.setInt("gtsc.lease", 5);
         cfg.setInt("l2.access_latency", 1);
         cfg.setInt("l1.hit_latency", 1);
-        for (int i = 1; i < argc; ++i)
-            cfg.parseOverride(argv[i]);
+        cfg.parseOverrides(std::vector<std::string>(argv + 1, argv + argc));
 
         domain = std::make_unique<core::TsDomain>(cfg, stats);
         dram = std::make_unique<mem::DramChannel>(cfg, stats, events,
@@ -132,10 +132,8 @@ struct TraceRig
     }
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::printf("G-TSC protocol walkthrough: the paper's Figure 9\n");
     std::printf("SM0: ld X; st Y; ld X      SM1: ld Y; st X; ld Y\n\n");
@@ -156,4 +154,17 @@ main(int argc, char **argv)
         "(writes were logically scheduled after every outstanding "
         "read lease\nwithout stalling — the key G-TSC property).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "protocol_trace: %s\n", e.what());
+        return 2;
+    }
 }

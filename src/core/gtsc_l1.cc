@@ -20,7 +20,7 @@ GtscL1::GtscL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
       mshr_(cfg.getUint("l1.mshr_entries"))
 {
     warpTs_.assign(cfg.getUint("gpu.warps_per_sm"), 1);
-    numPartitions_ = static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
+    numPartitions_ = cfg.getUnsigned("gpu.num_partitions");
     hitLatency_ = std::max<Cycle>(1, cfg.getUint("l1.hit_latency"));
     combine_ = cfg.getBool("gtsc.combine_mshr");
     std::string vis = cfg.getString("gtsc.update_visibility");

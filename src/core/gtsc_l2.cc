@@ -18,7 +18,7 @@ GtscL2::GtscL2(PartitionId part, const sim::Config &cfg,
       memory_(memory), domain_(domain), probe_(probe),
       array_(cfg.getUint("l2.partition_bytes"), cfg.getUint("l2.assoc"))
 {
-    ports_ = static_cast<unsigned>(cfg.getUint("l2.ports"));
+    ports_ = cfg.getUnsigned("l2.ports");
     accessLatency_ = cfg.getUint("l2.access_latency");
     mshrCapacity_ = cfg.getUint("l2.mshr_entries");
     adaptiveLease_ = cfg.getBool("gtsc.adaptive_lease");

@@ -33,7 +33,7 @@ class TsDomain
     TsDomain(const sim::Config &cfg, sim::StatSet &stats)
         : tsResets_(&stats.counter("gtsc.ts_resets"))
     {
-        unsigned width = static_cast<unsigned>(cfg.getUint("gtsc.ts_bits"));
+        unsigned width = cfg.getUnsigned("gtsc.ts_bits");
         if (width < 4 || width > 62)
             GTSC_FATAL("gtsc.ts_bits must be in [4,62], got ", width);
         tsMax_ = (Ts{1} << width) - 1;

@@ -79,11 +79,10 @@ struct GpuParams
     fromConfig(const sim::Config &cfg)
     {
         GpuParams p;
-        p.numSms = static_cast<unsigned>(cfg.getUint("gpu.num_sms"));
-        p.warpsPerSm = static_cast<unsigned>(cfg.getUint("gpu.warps_per_sm"));
-        p.warpSize = static_cast<unsigned>(cfg.getUint("gpu.warp_size"));
-        p.numPartitions =
-            static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
+        p.numSms = cfg.getUnsigned("gpu.num_sms");
+        p.warpsPerSm = cfg.getUnsigned("gpu.warps_per_sm");
+        p.warpSize = cfg.getUnsigned("gpu.warp_size");
+        p.numPartitions = cfg.getUnsigned("gpu.num_partitions");
         p.consistency = consistencyFromString(
             cfg.getString("gpu.consistency"));
         if (p.warpSize == 0 || p.warpSize > kMaxWarpSize)

@@ -25,7 +25,6 @@ Sm::Sm(SmId id, const GpuParams &params, const sim::Config &cfg,
     waitFenceMask_.resize(params_.warpsPerSm);
     retryMask_.resize(params_.warpsPerSm);
     storeFifoMask_.resize(params_.warpsPerSm);
-    issueWidth_ = static_cast<unsigned>(cfg.getUint("gpu.issue_width"));
     spinBackoff_ = cfg.getUint("gpu.spin_backoff_cycles");
     std::string sched = cfg.getString("gpu.scheduler");
     if (sched == "gto")
@@ -211,49 +210,41 @@ Sm::tick(Cycle now)
             });
     }
 
-    // Issue according to the configured scheduling policy. A warp
-    // consumes a slot iff it has a structural retry pending or is
-    // Ready (issueWarp on such a warp always returns true), so the
-    // pickers are ctz scans over readyMask_|retryMask_.
-    unsigned issued = 0;
-    unsigned n = static_cast<unsigned>(warps_.size());
-    for (unsigned slot = 0; slot < issueWidth_; ++slot) {
-        unsigned pick = sim::BitMask::kNpos;
-        switch (scheduler_) {
-          case Scheduler::Gto:
-            // Greedy: stick with the last issued warp, then oldest.
-            if (readyMask_.test(lastIssued_) ||
-                retryMask_.test(lastIssued_)) {
-                pick = lastIssued_;
-                break;
-            }
-            [[fallthrough]];
-          case Scheduler::Oldest:
-            pick = sim::findFirstOr(readyMask_, retryMask_);
-            if (pick != sim::BitMask::kNpos)
-                lastIssued_ = pick;
+    // Issue at most one warp, picked by the configured scheduling
+    // policy. A warp consumes the slot iff it has a structural retry
+    // pending or is Ready (issueWarp on such a warp always returns
+    // true), so the pickers are ctz scans over readyMask_|retryMask_.
+    unsigned pick = sim::BitMask::kNpos;
+    switch (scheduler_) {
+      case Scheduler::Gto:
+        // Greedy: stick with the last issued warp, then oldest.
+        if (readyMask_.test(lastIssued_) || retryMask_.test(lastIssued_)) {
+            pick = lastIssued_;
             break;
-          case Scheduler::Rr: {
-            // Loose round-robin: start after the last issued warp.
-            unsigned start =
-                (lastIssued_ + 1 == n) ? 0 : lastIssued_ + 1;
-            pick = sim::findNextWrapOr(readyMask_, retryMask_, start);
-            if (pick != sim::BitMask::kNpos)
-                lastIssued_ = pick;
-            break;
-          }
         }
-        if (pick == sim::BitMask::kNpos)
-            break;
-        bool progress = issueWarp(pick, now);
-        GTSC_ASSERT(progress, "picked warp did not use its slot");
-        ++issued;
+        [[fallthrough]];
+      case Scheduler::Oldest:
+        pick = sim::findFirstOr(readyMask_, retryMask_);
+        if (pick != sim::BitMask::kNpos)
+            lastIssued_ = pick;
+        break;
+      case Scheduler::Rr: {
+        // Loose round-robin: start after the last issued warp.
+        unsigned n = static_cast<unsigned>(warps_.size());
+        unsigned start = (lastIssued_ + 1 == n) ? 0 : lastIssued_ + 1;
+        pick = sim::findNextWrapOr(readyMask_, retryMask_, start);
+        if (pick != sim::BitMask::kNpos)
+            lastIssued_ = pick;
+        break;
+      }
     }
 
     // Cycle accounting for the stall breakdown (Figure 13).
-    if (issued > 0) {
+    if (pick != sim::BitMask::kNpos) {
+        bool progress = issueWarp(pick, now);
+        GTSC_ASSERT(progress, "picked warp did not use its slot");
         ++win_.activeCycles;
-        issueSlotsUsed_ += issued;
+        ++issueSlotsUsed_;
         // Issue changed warp state; the cached classification and
         // horizon no longer describe it.
         invalidateTickCache();

@@ -374,7 +374,6 @@ class Sm
     /** Warps in WaitFence (per-cycle fence-stall accounting). */
     unsigned cachedWaitFence_ = 0;
 
-    unsigned issueWidth_;
     Cycle spinBackoff_;
 
     /**

@@ -2,43 +2,122 @@
 
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/log.hh"
 
 namespace gtsc::harness
 {
 
+namespace
+{
+
+std::uint64_t
+l1Probes(const RunResult &r)
+{
+    return r.stats.get("l1.hits") + r.stats.get("l1.miss_cold") +
+           r.stats.get("l1.miss_expired");
+}
+
+/**
+ * Call `put(name, value)` for every reported column of `r`, in CSV
+ * order; JSON prints the same columns under the same names. Text
+ * values are std::string, the rest print with <<.
+ */
+template <typename Put>
+void
+forEachColumn(const RunResult &r, Put &&put)
+{
+    const sim::StatSet &s = r.stats;
+    sim::Distribution lat = nocLatency(r);
+    put("workload", r.workload);
+    put("protocol", r.protocol);
+    put("consistency", r.consistency);
+    put("cycles", r.cycles);
+    put("instructions", s.get("sm.instructions"));
+    put("active_cycles", s.get("sm.active_cycles"));
+    put("mem_stall_cycles", s.get("sm.mem_stall_cycles"));
+    put("l1_hits", s.get("l1.hits"));
+    put("l1_miss_cold", s.get("l1.miss_cold"));
+    put("l1_miss_expired", s.get("l1.miss_expired"));
+    put("renewals_sent", s.get("l1.renewals_sent"));
+    put("l2_accesses", s.get("l2.accesses"));
+    put("dram_accesses", dramAccesses(r));
+    put("noc_bytes", nocBytes(r));
+    put("noc_packets", nocPackets(r));
+    put("avg_noc_latency", lat.mean());
+    put("noc_latency_stddev", lat.stddev());
+    put("noc_latency_p50", lat.p50());
+    put("noc_latency_p99", lat.p99());
+    put("ts_resets", s.get("gtsc.ts_resets"));
+    put("spin_retries", s.get("sm.spin_retries"));
+    put("energy_core_j", r.energy.core);
+    put("energy_l1_j", r.energy.l1);
+    put("energy_l2_j", r.energy.l2);
+    put("energy_noc_j", r.energy.noc);
+    put("energy_dram_j", r.energy.dram);
+    put("energy_total_j", r.energy.total());
+    put("checker_violations", r.checkerViolations);
+    put("loads_checked", r.loadsChecked);
+    put("verified", r.verified);
+}
+
+} // namespace
+
+std::uint64_t
+nocBytes(const RunResult &r)
+{
+    return r.stats.get("noc.req.bytes") + r.stats.get("noc.resp.bytes");
+}
+
+std::uint64_t
+nocPackets(const RunResult &r)
+{
+    return r.stats.get("noc.req.packets") +
+           r.stats.get("noc.resp.packets");
+}
+
+std::uint64_t
+dramAccesses(const RunResult &r)
+{
+    return r.stats.get("dram.reads") + r.stats.get("dram.writes");
+}
+
+sim::Distribution
+nocLatency(const RunResult &r)
+{
+    sim::Distribution d = r.stats.getDistribution("noc.req.latency");
+    d.merge(r.stats.getDistribution("noc.resp.latency"));
+    return d;
+}
+
+double
+l1HitPercent(const RunResult &r)
+{
+    double probes = static_cast<double>(l1Probes(r));
+    return probes > 0 ? 100.0 * r.stats.get("l1.hits") / probes : 0.0;
+}
+
 std::string
 csvHeader()
 {
-    return "workload,protocol,consistency,cycles,instructions,"
-           "active_cycles,mem_stall_cycles,l1_hits,l1_miss_cold,"
-           "l1_miss_expired,renewals_sent,l2_accesses,dram_accesses,"
-           "noc_bytes,noc_packets,avg_noc_latency,noc_latency_stddev,"
-           "noc_latency_p50,noc_latency_p99,ts_resets,"
-           "spin_retries,energy_core_j,energy_l1_j,energy_l2_j,"
-           "energy_noc_j,energy_dram_j,energy_total_j,"
-           "checker_violations,loads_checked,verified";
+    std::string out;
+    forEachColumn(RunResult(), [&out](const char *name, const auto &) {
+        out.append(out.empty() ? "" : ",").append(name);
+    });
+    return out;
 }
 
 std::string
 csvRow(const RunResult &r)
 {
     std::ostringstream oss;
-    oss << r.workload << ',' << r.protocol << ',' << r.consistency
-        << ',' << r.cycles << ',' << r.instructions << ','
-        << r.activeCycles << ',' << r.memStallCycles << ',' << r.l1Hits
-        << ',' << r.l1MissCold << ',' << r.l1MissExpired << ','
-        << r.renewalsSent << ',' << r.l2Accesses << ','
-        << r.dramAccesses << ',' << r.nocBytes << ',' << r.nocPackets
-        << ',' << r.avgNocLatency << ',' << r.nocLatencyStddev << ','
-        << r.nocLatencyP50 << ',' << r.nocLatencyP99 << ','
-        << r.tsResets << ','
-        << r.spinRetries << ',' << r.energy.core << ',' << r.energy.l1
-        << ',' << r.energy.l2 << ',' << r.energy.noc << ','
-        << r.energy.dram << ',' << r.energy.total() << ','
-        << r.checkerViolations << ',' << r.loadsChecked << ','
-        << (r.verified ? "true" : "false");
+    oss << std::boolalpha;
+    const char *sep = "";
+    forEachColumn(r, [&](const char *, const auto &value) {
+        oss << sep << value;
+        sep = ",";
+    });
     return oss.str();
 }
 
@@ -59,30 +138,18 @@ std::string
 toJson(const RunResult &r)
 {
     std::ostringstream oss;
-    oss << "{\"workload\":\"" << r.workload << "\",\"protocol\":\""
-        << r.protocol << "\",\"consistency\":\"" << r.consistency
-        << "\",\"cycles\":" << r.cycles
-        << ",\"instructions\":" << r.instructions
-        << ",\"active_cycles\":" << r.activeCycles
-        << ",\"mem_stall_cycles\":" << r.memStallCycles
-        << ",\"l1_hits\":" << r.l1Hits
-        << ",\"l1_miss_cold\":" << r.l1MissCold
-        << ",\"l1_miss_expired\":" << r.l1MissExpired
-        << ",\"renewals_sent\":" << r.renewalsSent
-        << ",\"l2_accesses\":" << r.l2Accesses
-        << ",\"dram_accesses\":" << r.dramAccesses
-        << ",\"noc_bytes\":" << r.nocBytes
-        << ",\"noc_packets\":" << r.nocPackets
-        << ",\"avg_noc_latency\":" << r.avgNocLatency
-        << ",\"noc_latency_stddev\":" << r.nocLatencyStddev
-        << ",\"noc_latency_p50\":" << r.nocLatencyP50
-        << ",\"noc_latency_p99\":" << r.nocLatencyP99
-        << ",\"ts_resets\":" << r.tsResets
-        << ",\"spin_retries\":" << r.spinRetries
-        << ",\"energy_total_j\":" << r.energy.total()
-        << ",\"checker_violations\":" << r.checkerViolations
-        << ",\"loads_checked\":" << r.loadsChecked
-        << ",\"verified\":" << (r.verified ? "true" : "false") << "}";
+    oss << std::boolalpha;
+    char sep = '{';
+    forEachColumn(r, [&](const char *name, const auto &value) {
+        oss << sep << '"' << name << "\":";
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                     std::string>)
+            oss << '"' << value << '"';
+        else
+            oss << value;
+        sep = ',';
+    });
+    oss << '}';
     return oss.str();
 }
 
@@ -107,20 +174,19 @@ std::string
 summaryLine(const RunResult &r)
 {
     std::ostringstream oss;
-    double probes = static_cast<double>(r.l1Hits + r.l1MissCold +
-                                        r.l1MissExpired);
     oss << r.workload << "/" << r.protocol << "/" << r.consistency
-        << ": " << r.cycles << " cycles, " << r.instructions
-        << " instrs";
-    if (probes > 0) {
-        oss << ", L1 hit "
-            << static_cast<int>(100.0 * r.l1Hits / probes + 0.5) << "%";
+        << ": " << r.cycles << " cycles, "
+        << r.stats.get("sm.instructions") << " instrs";
+    if (l1Probes(r) > 0) {
+        oss << ", L1 hit " << static_cast<int>(l1HitPercent(r) + 0.5)
+            << "%";
     }
-    oss << ", " << r.nocBytes / 1024 << " KB NoC, "
+    oss << ", " << nocBytes(r) / 1024 << " KB NoC, "
         << r.energy.total() * 1e6 << " uJ";
-    if (r.nocLatencyP99 > 0) {
-        oss << ", NoC lat p50/p99 " << r.nocLatencyP50 << "/"
-            << r.nocLatencyP99 << " (sd " << r.nocLatencyStddev << ")";
+    sim::Distribution lat = nocLatency(r);
+    if (lat.p99() > 0) {
+        oss << ", NoC lat p50/p99 " << lat.p50() << "/" << lat.p99()
+            << " (sd " << lat.stddev() << ")";
     }
     if (r.checkerViolations > 0)
         oss << ", " << r.checkerViolations << " VIOLATIONS";

@@ -1,19 +1,41 @@
 /**
  * @file
- * Machine-readable result export: CSV rows for RunResults (one line
- * per run, stable column order) so sweeps can feed plotting scripts.
+ * What the harness reports about a run. The counts themselves live
+ * once, in RunResult::stats; this file defines the composites built
+ * from them and the one column list that the CSV rows, the JSON
+ * objects and gtscd's result lines print.
  */
 
 #ifndef GTSC_HARNESS_REPORT_HH_
 #define GTSC_HARNESS_REPORT_HH_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hh"
+#include "sim/stats.hh"
 
 namespace gtsc::harness
 {
+
+/** Interconnect bytes, requests plus responses. */
+std::uint64_t nocBytes(const RunResult &r);
+
+/** Interconnect packets, requests plus responses. */
+std::uint64_t nocPackets(const RunResult &r);
+
+/** DRAM reads plus writes. */
+std::uint64_t dramAccesses(const RunResult &r);
+
+/** Packet latency over both networks, one distribution. */
+sim::Distribution nocLatency(const RunResult &r);
+
+/**
+ * L1 hits as a percentage of all L1 probes (hits, cold and expired
+ * misses); 0 when no probe reached an L1.
+ */
+double l1HitPercent(const RunResult &r);
 
 /** Column names, comma-separated (no trailing newline). */
 std::string csvHeader();
@@ -25,7 +47,7 @@ std::string csvRow(const RunResult &r);
 void writeCsv(const std::string &path,
               const std::vector<RunResult> &results);
 
-/** One result as a flat JSON object (derived metrics only). */
+/** One result as a flat JSON object with the CSV's columns. */
 std::string toJson(const RunResult &r);
 
 /** Write a JSON array of results; fatal on I/O errors. */

@@ -59,32 +59,9 @@ runOne(const sim::Config &base, const std::string &protocol,
     r.consistency = consistency;
     r.cycles = system.run();
 
-    const sim::StatSet &s = system.stats();
-    r.instructions = s.get("sm.instructions");
-    r.memStallCycles = s.get("sm.mem_stall_cycles");
-    r.activeCycles = s.get("sm.active_cycles");
-    r.nocBytes = s.get("noc.req.bytes") + s.get("noc.resp.bytes");
-    r.nocPackets = s.get("noc.req.packets") + s.get("noc.resp.packets");
-    {
-        sim::Distribution d = s.getDistribution("noc.req.latency");
-        d.merge(s.getDistribution("noc.resp.latency"));
-        r.avgNocLatency = d.mean();
-        r.nocLatencyStddev = d.stddev();
-        r.nocLatencyP50 = d.p50();
-        r.nocLatencyP99 = d.p99();
-    }
-    r.l1Hits = s.get("l1.hits");
-    r.l1MissCold = s.get("l1.miss_cold");
-    r.l1MissExpired = s.get("l1.miss_expired");
-    r.renewalsSent = s.get("l1.renewals_sent");
-    r.l2Accesses = s.get("l2.accesses");
-    r.dramAccesses = s.get("dram.reads") + s.get("dram.writes");
-    r.tsResets = s.get("gtsc.ts_resets");
-    r.spinRetries = s.get("sm.spin_retries");
-    r.spinGiveups = s.get("sm.spin_giveups");
-
     energy::EnergyModel em(cfg);
-    r.energy = em.compute(s, protocol, system.params().numSms);
+    r.energy = em.compute(system.stats(), protocol,
+                          system.params().numSms);
 
     if (check) {
         r.checkerViolations = checker.violations();

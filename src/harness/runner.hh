@@ -2,7 +2,7 @@
  * @file
  * One-call experiment runner: builds a GPU for a (protocol,
  * consistency, workload) triple, runs it under the coherence
- * checker, and returns the derived metrics every figure needs.
+ * checker, and returns its statistics with the checker's verdict.
  */
 
 #ifndef GTSC_HARNESS_RUNNER_HH_
@@ -29,26 +29,6 @@ struct RunResult
     std::string consistency;
 
     Cycle cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t memStallCycles = 0;
-    std::uint64_t activeCycles = 0;
-
-    std::uint64_t nocBytes = 0;
-    std::uint64_t nocPackets = 0;
-    double avgNocLatency = 0.0;
-    double nocLatencyStddev = 0.0;
-    double nocLatencyP50 = 0.0;
-    double nocLatencyP99 = 0.0;
-
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l1MissCold = 0;
-    std::uint64_t l1MissExpired = 0;
-    std::uint64_t renewalsSent = 0;
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t dramAccesses = 0;
-    std::uint64_t tsResets = 0;
-    std::uint64_t spinRetries = 0;
-    std::uint64_t spinGiveups = 0;
 
     energy::EnergyBreakdown energy;
 
@@ -63,7 +43,7 @@ struct RunResult
      */
     std::uint64_t fastForwarded = 0;
 
-    /** Full raw statistics of the run. */
+    /** Every count of the run; harness/report.hh derives from it. */
     sim::StatSet stats;
 
     /**

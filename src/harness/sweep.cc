@@ -8,11 +8,22 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-
-#include "sim/thread_pool.hh"
+#include <thread>
 
 namespace gtsc::harness
 {
+
+namespace
+{
+
+/** std::thread::hardware_concurrency() with a floor of 1. */
+unsigned
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+} // namespace
 
 std::string
 RunSpec::displayLabel() const
@@ -34,14 +45,14 @@ SweepRunner::defaultJobs()
     const char *env = std::getenv("GTSC_JOBS");
     if (env && parseWholeNumber(env, UINT_MAX, &v) && v >= 1)
         return static_cast<unsigned>(v);
-    return sim::ThreadPool::hardwareWorkers();
+    return hardwareThreads();
 }
 
 unsigned
 SweepRunner::threadsFor(unsigned jobs, std::size_t misses)
 {
     return static_cast<unsigned>(std::min<std::size_t>(
-        {jobs, misses, sim::ThreadPool::hardwareWorkers()}));
+        {jobs, misses, hardwareThreads()}));
 }
 
 bool
@@ -100,53 +111,48 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
     if (misses.empty())
         return results;
 
-    auto runSpec = [&](std::size_t i) {
-        const RunSpec &spec = specs[i];
-        results[i] = runOne(spec.config, spec.protocol,
-                            spec.consistency, spec.workload);
-        if (opts_.cache)
-            opts_.cache->insert(spec, results[i]);
-        if (opts_.onResult)
-            opts_.onResult(i, results[i], false);
-    };
-
-    unsigned jobs = threadsFor(jobs_, misses.size());
-    if (jobs <= 1) {
-        for (std::size_t i : misses) {
-            runSpec(i);
-            report(specs[i]);
-        }
-        return results;
-    }
-
-    // One exception slot per run: workers never throw across the
-    // pool; the earliest failing cell rethrows below, matching what
-    // the serial loop would have surfaced first. Once a cell has
-    // failed, cells above it are skipped: the serial loop would never
-    // have reached them, and the run is lost anyway. Cells below it
-    // still run, since one of them may fail first in serial order.
+    // Workers claim the misses in ascending order from one index.
+    // Each cell has its own exception slot, so no worker throws; the
+    // lowest failed cell rethrows below, as the serial loop would
+    // have surfaced it first. Once a cell has failed, cells above it
+    // are skipped: the serial loop would never have reached them,
+    // and the run is lost anyway. Cells below it still run, since
+    // one of them may fail first in serial order.
     std::vector<std::exception_ptr> errors(n);
     std::atomic<std::size_t> firstFailed{n};
-    {
-        sim::ThreadPool pool(jobs);
-        for (std::size_t i : misses) {
-            pool.submit([&, i] {
-                if (i > firstFailed.load())
-                    return;
-                try {
-                    runSpec(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                    std::size_t f = firstFailed.load();
-                    while (i < f &&
-                           !firstFailed.compare_exchange_weak(f, i))
-                        ;
-                }
-                report(specs[i]);
-            });
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t k; (k = next.fetch_add(1)) < misses.size();) {
+            std::size_t i = misses[k];
+            if (i > firstFailed.load())
+                return;
+            const RunSpec &spec = specs[i];
+            try {
+                results[i] = runOne(spec.config, spec.protocol,
+                                    spec.consistency, spec.workload);
+                if (opts_.cache)
+                    opts_.cache->insert(spec, results[i]);
+                if (opts_.onResult)
+                    opts_.onResult(i, results[i], false);
+            } catch (...) {
+                errors[i] = std::current_exception();
+                std::size_t f = firstFailed.load();
+                while (i < f && !firstFailed.compare_exchange_weak(f, i))
+                    ;
+            }
+            report(spec);
         }
-        pool.wait();
-    }
+    };
+
+    // The calling thread is one of the workers, so one job runs the
+    // sweep inline. jthreads join when destroyed, so a helper that
+    // fails to start still leaves the started ones joined before the
+    // state they share goes away.
+    std::vector<std::jthread> helpers;
+    for (unsigned t = 1; t < threadsFor(jobs_, misses.size()); ++t)
+        helpers.emplace_back(work);
+    work();
+    helpers.clear();
     for (std::size_t i = 0; i < n; ++i) {
         if (errors[i])
             std::rethrow_exception(errors[i]);

@@ -6,10 +6,10 @@
  * or ablation matrix is an independent, bit-reproducible simulation:
  * runOne() builds its own GpuSystem, StatSet, RNGs and checker, and
  * nothing in the simulator mutates shared state. SweepRunner exploits
- * that: it fans RunSpecs out over a work-stealing thread pool and
- * hands the RunResults back in submission order, so a sweep at
- * jobs=N is bit-identical to the serial loop it replaces — only
- * wall-clock changes (see tests/harness/sweep_test.cc).
+ * that: N plain threads claim the cells in ascending order from one
+ * atomic index, and the RunResults come back in submission order, so
+ * a sweep at jobs=N is bit-identical to the serial loop it replaces —
+ * only wall-clock changes (see tests/harness/sweep_test.cc).
  */
 
 #ifndef GTSC_HARNESS_SWEEP_HH_
@@ -100,8 +100,9 @@ class SweepRunner
      * Execute every spec (each via runOne on an isolated config and
      * stat set) and return results in submission order, regardless
      * of completion order. A failing run (fatal/panic) rethrows on
-     * the caller's thread after the pool drains, lowest index first;
-     * cells above a failed one that have not started are skipped.
+     * the caller's thread once every worker has stopped, lowest index
+     * first; cells above a failed one that have not started are
+     * skipped.
      */
     std::vector<RunResult> run(const std::vector<RunSpec> &specs);
 
@@ -112,8 +113,9 @@ class SweepRunner
     static unsigned defaultJobs();
 
     /**
-     * The threads run() starts to simulate `misses` cells: `jobs`,
-     * capped at the cell count and at the hardware thread count.
+     * The threads run() simulates `misses` cells on, the calling
+     * thread included: `jobs`, capped at the cell count and at the
+     * hardware thread count.
      */
     static unsigned threadsFor(unsigned jobs, std::size_t misses);
 

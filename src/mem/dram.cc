@@ -17,7 +17,7 @@ DramChannel::DramChannel(const sim::Config &cfg, sim::StatSet &stats,
     frfcfsReorders_ = &stats_.counter(name_ + ".frfcfs_reorders");
     tRowHit_ = cfg.getUint("dram.t_row_hit");
     tRowMiss_ = cfg.getUint("dram.t_row_miss");
-    numBanks_ = static_cast<unsigned>(cfg.getUint("dram.banks"));
+    numBanks_ = cfg.getUnsigned("dram.banks");
     std::string sched = cfg.getString("dram.scheduler");
     if (sched == "frfcfs")
         frfcfs_ = true;

@@ -22,7 +22,7 @@
 namespace gtsc::protocols
 {
 
-/** Temporal Coherence: TC-Strong under SC, TC-Weak under RC. */
+/** Temporal Coherence: TC-Strong under SC, TC-Weak under TSO and RC. */
 class TcBuilder : public gpu::ProtocolBuilder
 {
   public:
@@ -32,14 +32,9 @@ class TcBuilder : public gpu::ProtocolBuilder
     prepare(const sim::Config &cfg, sim::StatSet &stats,
             const gpu::GpuParams &params) override
     {
+        (void)cfg;
         (void)stats;
-        std::string mode = cfg.getString("tc.mode");
-        if (mode == "strong")
-            strong_ = true;
-        else if (mode == "weak")
-            strong_ = false;
-        else
-            strong_ = (params.consistency == gpu::Consistency::SC);
+        strong_ = params.consistency == gpu::Consistency::SC;
     }
 
     std::unique_ptr<mem::L1Controller>

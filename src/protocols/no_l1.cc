@@ -10,7 +10,7 @@ NoL1::NoL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
            sim::EventQueue &events, mem::CoherenceProbe *probe)
     : sm_(sm), stats_(stats), events_(events), probe_(probe)
 {
-    numPartitions_ = static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
+    numPartitions_ = cfg.getUnsigned("gpu.num_partitions");
     maxPending_ = cfg.getUint("nol1.max_pending");
 
     reads_ = &stats_.counter("l1.bypass_reads");

@@ -15,7 +15,7 @@ NonCohL1::NonCohL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
       array_(cfg.getUint("l1.size_bytes"), cfg.getUint("l1.assoc")),
       mshr_(cfg.getUint("l1.mshr_entries"))
 {
-    numPartitions_ = static_cast<unsigned>(cfg.getUint("gpu.num_partitions"));
+    numPartitions_ = cfg.getUnsigned("gpu.num_partitions");
     hitLatency_ = std::max<Cycle>(1, cfg.getUint("l1.hit_latency"));
 
     hits_ = &stats_.counter("l1.hits");

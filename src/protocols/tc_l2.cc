@@ -18,7 +18,7 @@ TcL2::TcL2(PartitionId part, const sim::Config &cfg, sim::StatSet &stats,
       memory_(memory), strong_(strong), probe_(probe),
       array_(cfg.getUint("l2.partition_bytes"), cfg.getUint("l2.assoc"))
 {
-    ports_ = static_cast<unsigned>(cfg.getUint("l2.ports"));
+    ports_ = cfg.getUnsigned("l2.ports");
     accessLatency_ = cfg.getUint("l2.access_latency");
     lease_ = cfg.getUint("tc.lease");
     mshrCapacity_ = cfg.getUint("l2.mshr_entries");

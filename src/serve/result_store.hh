@@ -6,11 +6,11 @@
  * SHA-256 key over the canonicalized explicit configuration (sorted
  * keys, normalized values, harness-only `sweep.*` knobs excluded)
  * plus the cell identity and a schema/code version stamp. Entries
- * live under `<root>/v1/<kk>/<key>.res` where `kk` is the first key
- * byte — one file per result, written atomically (temp file +
- * rename) under an advisory flock, so concurrent writers (sweep
- * workers, multiple processes, a daemon next to a CLI run) never
- * produce a torn entry. Reads need no lock: they see either the old
+ * live under `<root>/v<schema>/<kk>/<key>.res` (`<root>/v4/...`),
+ * where `kk` is the first key byte — one file per result, written
+ * atomically (temp file + rename) under an advisory flock, so
+ * concurrent writers (sweep workers, multiple processes, a daemon
+ * next to a CLI run) never produce a torn entry. Reads need no lock: they see either the old
  * or the new file. Truncated, corrupt, or version-mismatched entries
  * are treated as misses and removed (miss + repair). A size cap
  * evicts least-recently-used entries (mtime, refreshed on every
@@ -37,7 +37,7 @@ namespace gtsc::serve
 {
 
 /** Entry-format generation; bump when the on-disk layout changes. */
-constexpr int kStoreSchemaVersion = 3;
+constexpr int kStoreSchemaVersion = 4;
 
 /**
  * Simulator-output generation baked into every key and entry: bump
@@ -111,7 +111,7 @@ class ResultStore final : public harness::SweepCache
 
     Options opts_;
     std::string root_; ///< resolved root
-    std::string dir_;  ///< root + "/v1"
+    std::string dir_;  ///< root + "/v" + kStoreSchemaVersion
 
     mutable std::mutex mu_; ///< guards stats_ (files use flock)
     StoreStats stats_;

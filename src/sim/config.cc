@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/log.hh"
@@ -48,7 +49,6 @@ constexpr Knob kKnobs[] = {
     {"energy.sm_idle_pj", Type::Double, "1200"},
     {"gpu.consistency", Type::String, "rc"},
     {"gpu.flush_l2_between_kernels", Type::Bool, "true"},
-    {"gpu.issue_width", Type::Uint, "1"},
     {"gpu.max_cycles", Type::Uint, "500000000"},
     {"gpu.num_partitions", Type::Uint, "8"},
     {"gpu.num_sms", Type::Uint, "16"},
@@ -91,7 +91,6 @@ constexpr Knob kKnobs[] = {
     {"sweep.store_max_bytes", Type::Uint, "268435456"},
     {"sweep.store_path", Type::String, ""},
     {"tc.lease", Type::Uint, "100"},
-    {"tc.mode", Type::String, "auto"},
     {"verify.boosts", Type::Uint, "0"},
     {"verify.consistency", Type::String, "sc"},
     {"verify.evictions", Type::Bool, "true"},
@@ -178,6 +177,20 @@ canonical(Type type, const std::string &text, std::string *out)
     return true;
 }
 
+/** `s` without leading and trailing whitespace. */
+std::string_view
+trim(std::string_view s)
+{
+    auto space = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    while (!s.empty() && space(s.front()))
+        s.remove_prefix(1);
+    while (!s.empty() && space(s.back()))
+        s.remove_suffix(1);
+    return s;
+}
+
 } // namespace
 
 std::span<const Knob>
@@ -256,6 +269,17 @@ Config::getUint(std::string_view key) const
     return v;
 }
 
+unsigned
+Config::getUnsigned(std::string_view key) const
+{
+    std::uint64_t v = getUint(key);
+    if (v > std::numeric_limits<unsigned>::max())
+        GTSC_FATAL("config key '", key, "' is ", v, ", larger than ",
+                   std::numeric_limits<unsigned>::max(),
+                   ", the most it can hold");
+    return static_cast<unsigned>(v);
+}
+
 double
 Config::getDouble(std::string_view key) const
 {
@@ -315,20 +339,19 @@ Config::loadFile(const std::string &path)
     unsigned line_no = 0;
     while (std::getline(in, line)) {
         ++line_no;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        // Strip whitespace (also around '=').
-        std::string stripped;
-        for (char c : line) {
-            if (!std::isspace(static_cast<unsigned char>(c)))
-                stripped.push_back(c);
-        }
-        if (stripped.empty())
+        std::string_view text = line;
+        text = trim(text.substr(0, text.find('#')));
+        if (text.empty())
             continue;
-        if (!parseOverride(stripped))
+        auto eq = text.find('=');
+        std::string_view key =
+            eq == std::string_view::npos ? "" : trim(text.substr(0, eq));
+        if (key.empty())
             GTSC_FATAL("config file ", path, " line ", line_no,
                        ": expected key=value, got '", line, "'");
+        // Spaces around the key and the value go; spaces inside a
+        // value (a path, say) stay.
+        set(std::string(key), std::string(trim(text.substr(eq + 1))));
     }
 }
 

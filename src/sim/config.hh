@@ -72,6 +72,11 @@ class Config
      * key must be declared with the getter's type.
      */
     std::uint64_t getUint(std::string_view key) const;
+    /**
+     * getUint() for a read site that holds an `unsigned`: fatal,
+     * naming the key, when the value is larger than that.
+     */
+    unsigned getUnsigned(std::string_view key) const;
     double getDouble(std::string_view key) const;
     bool getBool(std::string_view key) const;
     std::string getString(std::string_view key) const;
@@ -95,8 +100,10 @@ class Config
 
     /**
      * Load "key = value" lines from a file ('#' comments, blank
-     * lines ignored); fatal on I/O or syntax errors and on what
-     * set() refuses. Later settings override earlier ones.
+     * lines ignored; whitespace around the key and the value is
+     * dropped, inside the value kept); fatal on I/O or syntax errors
+     * and on what set() refuses. Later settings override earlier
+     * ones.
      */
     void loadFile(const std::string &path);
 

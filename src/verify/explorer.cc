@@ -96,8 +96,7 @@ explore(const sim::Config &cfg)
     ModelSim model(cfg);
     const std::uint64_t maxStates = cfg.getUint("verify.max_states");
     const std::uint64_t maxDepth = cfg.getUint("verify.max_depth");
-    const std::uint32_t maxEpochs = static_cast<std::uint32_t>(
-        cfg.getUint("verify.max_epochs"));
+    const std::uint32_t maxEpochs = cfg.getUnsigned("verify.max_epochs");
     const std::uint64_t maxWitnesses = cfg.getUint("verify.max_witnesses");
 
     ExploreResult result;

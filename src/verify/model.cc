@@ -44,21 +44,19 @@ ModelSim::ModelSim(const sim::Config &user_cfg)
       domainPtr_(std::make_unique<core::TsDomain>(cfg_, stats_)),
       domain_(*domainPtr_)
 {
-    sms_ = static_cast<unsigned>(cfg_.getUint("verify.sms"));
-    lines_ = static_cast<unsigned>(cfg_.getUint("verify.lines"));
-    opsPerThread_ =
-        static_cast<unsigned>(cfg_.getUint("verify.ops_per_thread"));
+    sms_ = cfg_.getUnsigned("verify.sms");
+    lines_ = cfg_.getUnsigned("verify.lines");
+    opsPerThread_ = cfg_.getUnsigned("verify.ops_per_thread");
     std::string cons = cfg_.getString("verify.consistency");
     if (cons == "sc")
         maxOutstanding_ = 1;
     else if (cons == "rc")
-        maxOutstanding_ = static_cast<unsigned>(
-            cfg_.getUint("verify.max_outstanding"));
+        maxOutstanding_ = cfg_.getUnsigned("verify.max_outstanding");
     else
         GTSC_FATAL("verify.consistency must be sc|rc, got '", cons, "'");
-    boostBudget_ = static_cast<unsigned>(cfg_.getUint("verify.boosts"));
+    boostBudget_ = cfg_.getUnsigned("verify.boosts");
     evictions_ = cfg_.getBool("verify.evictions");
-    settleCap_ = static_cast<unsigned>(cfg_.getUint("verify.settle_cap"));
+    settleCap_ = cfg_.getUnsigned("verify.settle_cap");
     if (sms_ == 0 || sms_ > 8 || lines_ == 0 || lines_ > 4)
         GTSC_FATAL("verify.sms must be in [1,8] and verify.lines in "
                    "[1,4], got ",

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -19,10 +20,10 @@ sampleResult()
     r.protocol = "gtsc";
     r.consistency = "rc";
     r.cycles = 1234;
-    r.instructions = 99;
-    r.l1Hits = 10;
-    r.l1MissCold = 5;
-    r.nocBytes = 2048;
+    r.stats.counter("sm.instructions") = 99;
+    r.stats.counter("l1.hits") = 10;
+    r.stats.counter("l1.miss_cold") = 5;
+    r.stats.counter("noc.req.bytes") = 2048;
     r.energy.core = 1e-6;
     r.energy.l1 = 2e-6;
     r.checkerViolations = 0;
@@ -105,4 +106,46 @@ TEST(Report, WriteJsonArray)
     EXPECT_EQ(text.front(), '[');
     EXPECT_EQ(std::count(text.begin(), text.end(), '{'), 2);
     std::remove(path.c_str());
+}
+
+TEST(Report, CompositesSumTheirCounters)
+{
+    harness::RunResult r = sampleResult();
+    r.stats.counter("noc.resp.bytes") = 1024;
+    r.stats.counter("noc.req.packets") = 3;
+    r.stats.counter("noc.resp.packets") = 4;
+    r.stats.counter("dram.reads") = 6;
+    r.stats.counter("dram.writes") = 1;
+    r.stats.counter("l1.miss_expired") = 5;
+    r.stats.distribution("noc.req.latency").sample(10);
+    r.stats.distribution("noc.resp.latency").sample(30);
+    EXPECT_EQ(harness::nocBytes(r), 3072u);
+    EXPECT_EQ(harness::nocPackets(r), 7u);
+    EXPECT_EQ(harness::dramAccesses(r), 7u);
+    EXPECT_EQ(harness::nocLatency(r).count(), 2u);
+    EXPECT_DOUBLE_EQ(harness::nocLatency(r).mean(), 20.0);
+    EXPECT_DOUBLE_EQ(harness::l1HitPercent(r), 50.0);
+    EXPECT_EQ(harness::l1HitPercent(harness::RunResult()), 0.0);
+}
+
+TEST(Report, JsonHasTheCsvColumnsInOrder)
+{
+    harness::RunResult r = sampleResult();
+    std::string json = harness::toJson(r);
+    std::istringstream header(harness::csvHeader());
+    std::istringstream row(harness::csvRow(r));
+    std::string name;
+    std::string value;
+    std::size_t at = 0;
+    while (std::getline(header, name, ',')) {
+        ASSERT_TRUE(std::getline(row, value, ',')) << name;
+        bool text = name == "workload" || name == "protocol" ||
+                    name == "consistency";
+        std::string pair = "\"" + name + "\":" +
+                           (text ? "\"" + value + "\"" : value);
+        std::size_t pos = json.find(pair, at);
+        ASSERT_NE(pos, std::string::npos) << pair << " in " << json;
+        at = pos + pair.size();
+    }
+    EXPECT_EQ(at + 1, json.size());
 }

@@ -106,12 +106,12 @@ TEST_P(BenchmarkMatrix, RunsCleanUnderChecker)
 {
     const MatrixParam &p = GetParam();
     const RunResult &r = matrixResult(p);
-    EXPECT_GT(r.instructions, 0u);
+    EXPECT_GT(r.stats.get("sm.instructions"), 0u);
     EXPECT_GT(r.loadsChecked, 0u) << p.tag();
     EXPECT_EQ(r.checkerViolations, 0u) << p.tag();
     EXPECT_TRUE(r.verified) << p.tag();
     // Warps must not have abandoned synchronization spins.
-    EXPECT_EQ(r.spinGiveups, 0u) << p.tag();
+    EXPECT_EQ(r.stats.get("sm.spin_giveups"), 0u) << p.tag();
 }
 
 INSTANTIATE_TEST_SUITE_P(

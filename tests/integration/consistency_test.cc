@@ -63,7 +63,7 @@ TEST_P(LitmusMatrix, MessagePassingObservesData)
                              p.consistency, "mp");
         EXPECT_EQ(r.checkerViolations, 0u)
             << p.protocol << "/" << p.consistency << " seed " << seed;
-        EXPECT_EQ(r.spinGiveups, 0u)
+        EXPECT_EQ(r.stats.get("sm.spin_giveups"), 0u)
             << "consumer must eventually see the flag";
         EXPECT_TRUE(r.verified)
             << "flag seen but stale data read: " << p.protocol << "/"

@@ -72,9 +72,9 @@ TEST_P(GoldenStats, ExactMatch)
     harness::RunResult r =
         harness::runOne(cfg, g.protocol, g.consistency, g.workload);
     EXPECT_EQ(r.cycles, g.cycles);
-    EXPECT_EQ(r.instructions, g.instructions);
-    EXPECT_EQ(r.l1Hits, g.l1Hits);
-    EXPECT_EQ(r.l2Accesses, g.l2Accesses);
+    EXPECT_EQ(r.stats.get("sm.instructions"), g.instructions);
+    EXPECT_EQ(r.stats.get("l1.hits"), g.l1Hits);
+    EXPECT_EQ(r.stats.get("l2.accesses"), g.l2Accesses);
     EXPECT_EQ(r.stats.get("noc.req.bytes"), g.nocReqBytes);
     EXPECT_EQ(r.stats.get("noc.resp.bytes"), g.nocRespBytes);
     EXPECT_EQ(r.stats.get("dram.reads"), g.dramReads);

@@ -182,7 +182,7 @@ TEST_P(HotPathEquivalence, BitIdenticalToSeed)
                                            cell.consistency, cell.workload);
     // The narrow-timestamp cell exists to cover resets.
     if (cell.tsBits != 0) {
-        EXPECT_GT(r.tsResets, 0u);
+        EXPECT_GT(r.stats.get("gtsc.ts_resets"), 0u);
     }
     // Memory-bound ccp has long stretches where every warp waits on
     // DRAM: the main loop must skip some cycles there, and not all.

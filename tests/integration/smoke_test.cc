@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/report.hh"
 #include "harness/runner.hh"
 
 using namespace gtsc;
@@ -35,7 +36,7 @@ TEST(Smoke, MessagePassingGtscRc)
     EXPECT_GT(r.cycles, 0u);
     EXPECT_EQ(r.checkerViolations, 0u);
     EXPECT_TRUE(r.verified) << "consumer must observe the data";
-    EXPECT_EQ(r.spinGiveups, 0u);
+    EXPECT_EQ(r.stats.get("sm.spin_giveups"), 0u);
 }
 
 TEST(Smoke, MessagePassingAllProtocols)
@@ -74,6 +75,6 @@ TEST(Smoke, BenchmarkBfsRunsOnGtsc)
     cfg.setDouble("wl.scale", 0.25);
     RunResult r = runOne(cfg, "gtsc", "rc", "bfs");
     EXPECT_EQ(r.checkerViolations, 0u);
-    EXPECT_GT(r.instructions, 0u);
-    EXPECT_GT(r.nocBytes, 0u);
+    EXPECT_GT(r.stats.get("sm.instructions"), 0u);
+    EXPECT_GT(harness::nocBytes(r), 0u);
 }

@@ -116,9 +116,7 @@ TEST(SystemInvariants, DeterministicAcrossRuns)
     RunResult a = runOne(smallConfig(), "gtsc", "rc", "bfs");
     RunResult b = runOne(smallConfig(), "gtsc", "rc", "bfs");
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.nocBytes, b.nocBytes);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.l1Hits, b.l1Hits);
+    EXPECT_EQ(a.stats.toString(), b.stats.toString());
 }
 
 TEST(SystemInvariants, SeedChangesSchedule)
@@ -136,7 +134,8 @@ TEST(SystemInvariants, ScaleGrowsWork)
     RunResult small = runOne(cfg, "gtsc", "rc", "bh");
     cfg.setDouble("wl.scale", 1.5);
     RunResult big = runOne(cfg, "gtsc", "rc", "bh");
-    EXPECT_GT(big.instructions, small.instructions * 2);
+    EXPECT_GT(big.stats.get("sm.instructions"),
+              small.stats.get("sm.instructions") * 2);
     EXPECT_GT(big.cycles, small.cycles);
 }
 
@@ -148,7 +147,7 @@ TEST(SystemInvariants, PaperScaleConfigRuns)
     cfg.setDouble("wl.scale", 0.2);
     RunResult r = runOne(cfg, "gtsc", "rc", "bh");
     EXPECT_EQ(r.checkerViolations, 0u);
-    EXPECT_GT(r.instructions, 0u);
+    EXPECT_GT(r.stats.get("sm.instructions"), 0u);
 }
 
 TEST(SystemInvariants, L2ServiceLatencyCoversEveryAccess)

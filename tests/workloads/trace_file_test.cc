@@ -144,8 +144,8 @@ TEST(TraceFile, RunsEndToEndThroughRegistry)
     harness::RunResult r =
         harness::runOne(cfg, "gtsc", "rc", "trace:" + path);
     EXPECT_EQ(r.checkerViolations, 0u);
-    EXPECT_EQ(r.spinGiveups, 0u);
-    EXPECT_GT(r.instructions, 5u);
+    EXPECT_EQ(r.stats.get("sm.spin_giveups"), 0u);
+    EXPECT_GT(r.stats.get("sm.instructions"), 5u);
     std::remove(path.c_str());
 }
 
