@@ -19,6 +19,14 @@
  * complete the set. On ccp the loop must also actually jump over
  * idle cycles, or the skipping path would go unexercised.
  *
+ * Six more cells cover each way an L1 rejects an access, since the
+ * SM parks on a retry the L1 is known to reject again (DESIGN.md §7):
+ * MSHR-full rejects under the rr and oldest schedulers (cc_rr,
+ * cc_oldest, tc_cc_oldest) and in forward-all mode (cc_fwdall), where
+ * fills land without freeing a slot; write-buffer-full rejects
+ * (dlp_wb2); and MSHR-full rejects next to TSO store-buffer drains
+ * (vpr_tso_mshr2).
+ *
  * The small artifacts (stats, timeline) are stored verbatim under
  * tests/integration/goldens/ so a mismatch shows a readable diff;
  * the multi-megabyte ones (trace, transcript) are pinned by size +
@@ -48,6 +56,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/runner.hh"
 
@@ -114,25 +123,42 @@ struct Cell
     const char *protocol;
     const char *consistency;
     const char *workload;
-    int tsBits; ///< gtsc.ts_bits override; 0 keeps the default
+    /** Knob overrides ("key=value"), applied after the machine's. */
+    std::vector<const char *> knobs;
+    /** Counter the cell exists to exercise (must end non-zero). */
+    const char *exercises = nullptr;
 };
 
 const Cell kCells[] = {
-    {"bh", "gtsc", "rc", "bh", 0},
-    {"cc", "gtsc", "rc", "cc", 0},
-    {"ccp", "gtsc", "rc", "ccp", 0},
-    {"bfs", "gtsc", "rc", "bfs", 0},
-    {"ge", "gtsc", "rc", "ge", 0},
-    {"tc_cc", "tc", "rc", "cc", 0},
-    {"cc_ts8", "gtsc", "rc", "cc", 8},
-    {"mp_sc", "gtsc", "sc", "mp", 0},
-    {"mp", "gtsc", "rc", "mp", 0},
-    {"tc_mp_sc", "tc", "sc", "mp", 0},
-    {"tc_mp", "tc", "rc", "mp", 0},
-    {"noncoh_mp_sc", "noncoh", "sc", "mp", 0},
-    {"noncoh_mp", "noncoh", "rc", "mp", 0},
-    {"noncoh_ccp", "noncoh", "rc", "ccp", 0},
-    {"nol1_cc", "nol1", "rc", "cc", 0},
+    {"bh", "gtsc", "rc", "bh", {}},
+    {"cc", "gtsc", "rc", "cc", {}},
+    {"ccp", "gtsc", "rc", "ccp", {}},
+    {"bfs", "gtsc", "rc", "bfs", {}},
+    {"ge", "gtsc", "rc", "ge", {}},
+    {"tc_cc", "tc", "rc", "cc", {}},
+    {"cc_ts8", "gtsc", "rc", "cc", {"gtsc.ts_bits=8"}, "gtsc.ts_resets"},
+    {"mp_sc", "gtsc", "sc", "mp", {}},
+    {"mp", "gtsc", "rc", "mp", {}},
+    {"tc_mp_sc", "tc", "sc", "mp", {}},
+    {"tc_mp", "tc", "rc", "mp", {}},
+    {"noncoh_mp_sc", "noncoh", "sc", "mp", {}},
+    {"noncoh_mp", "noncoh", "rc", "mp", {}},
+    {"noncoh_ccp", "noncoh", "rc", "ccp", {}},
+    {"nol1_cc", "nol1", "rc", "cc", {}},
+    {"cc_rr", "gtsc", "rc", "cc", {"gpu.scheduler=rr"},
+     "l1.rejects_mshr_full"},
+    {"cc_oldest", "gtsc", "rc", "cc", {"gpu.scheduler=oldest"},
+     "l1.rejects_mshr_full"},
+    {"cc_fwdall", "gtsc", "rc", "cc", {"gtsc.combine_mshr=false"},
+     "l1.rejects_mshr_full"},
+    {"dlp_wb2", "gtsc", "rc", "dlp",
+     {"gtsc.update_visibility=writebuffer",
+      "gtsc.write_buffer_entries=2"},
+     "l1.wb_full_rejects"},
+    {"vpr_tso_mshr2", "gtsc", "tso", "vpr", {"l1.mshr_entries=2"},
+     "l1.rejects_mshr_full"},
+    {"tc_cc_oldest", "tc", "sc", "cc", {"gpu.scheduler=oldest"},
+     "l1.rejects_mshr_full"},
 };
 
 const Cell &
@@ -172,17 +198,18 @@ TEST_P(HotPathEquivalence, BitIdenticalToSeed)
     cfg.setInt("gpu.warps_per_sm", 4);
     cfg.setInt("gpu.num_partitions", 2);
     cfg.setDouble("wl.scale", 0.5);
-    if (cell.tsBits != 0)
-        cfg.setInt("gtsc.ts_bits", cell.tsBits);
+    for (const char *knob : cell.knobs)
+        ASSERT_TRUE(cfg.parseOverride(knob)) << knob;
     cfg.setBool("obs.trace", true);
     cfg.setInt("obs.sample_interval", 200);
     cfg.set("obs.trace_dir", dir.string());
 
     harness::RunResult r = harness::runOne(cfg, cell.protocol,
                                            cell.consistency, cell.workload);
-    // The narrow-timestamp cell exists to cover resets.
-    if (cell.tsBits != 0) {
-        EXPECT_GT(r.stats.get("gtsc.ts_resets"), 0u);
+    // The narrow-timestamp cell exists to cover resets, each reject
+    // cell the reject path it is named for.
+    if (cell.exercises) {
+        EXPECT_GT(r.stats.get(cell.exercises), 0u) << cell.exercises;
     }
     // Memory-bound ccp has long stretches where every warp waits on
     // DRAM: the main loop must skip some cycles there, and not all.
@@ -232,6 +259,9 @@ INSTANTIATE_TEST_SUITE_P(Workloads, HotPathEquivalence,
                                            "mp_sc", "mp", "tc_mp_sc",
                                            "tc_mp", "noncoh_mp_sc",
                                            "noncoh_mp", "noncoh_ccp",
-                                           "nol1_cc"),
+                                           "nol1_cc", "cc_rr",
+                                           "cc_oldest", "cc_fwdall",
+                                           "dlp_wb2", "vpr_tso_mshr2",
+                                           "tc_cc_oldest"),
                          [](const ::testing::TestParamInfo<std::string>
                                 &info) { return info.param; });
