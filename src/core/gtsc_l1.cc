@@ -57,6 +57,12 @@ GtscL1::GtscL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     replayHits_ = &stats_.counter("l1.replay_hits");
     wbForwards_ = &stats_.counter("l1.wb_forwards");
     storeBaseStale_ = &stats_.counter("l1.store_base_stale");
+
+    // A reset rewinds every warp timestamp and, through adoptEpoch on
+    // the next access, the whole array: a rejected access may fare
+    // differently afterwards.
+    keepRejectGeneration();
+    domain_.addResetListener([this]() { moveGeneration(); });
 }
 
 void
@@ -89,6 +95,7 @@ GtscL1::noteSpinRetry(WarpId warp, Addr line_addr)
     (void)line_addr;
     adoptEpoch();
     warpTs_[warp] = std::min(warpTs_[warp] + spinBoost_, domain_.tsMax());
+    moveGeneration();
 }
 
 bool
@@ -105,6 +112,7 @@ GtscL1::flush(Cycle now)
     GTSC_ASSERT(quiescent(), "L1 flush while busy");
     array_.invalidateAll();
     std::fill(warpTs_.begin(), warpTs_.end(), Ts{1});
+    moveGeneration();
 }
 
 L1VerifyState
@@ -193,6 +201,7 @@ GtscL1::restoreVerifyState(const L1VerifyState &s)
     replayQueue_.clear();
     for (const mem::Access &a : s.replayQueue)
         replayQueue_.push_back(a);
+    moveGeneration();
 }
 
 bool
@@ -204,6 +213,7 @@ GtscL1::verifyEvictLine(Addr line_addr)
     if (!blk)
         return false;
     array_.invalidate(*blk);
+    moveGeneration();
     return true;
 }
 
@@ -228,23 +238,24 @@ GtscL1::access(const mem::Access &acc, Cycle now)
                       warpTs_[acc.warp], acc.warp);
             ++entry->outstanding;
         }
+        moveGeneration();
         return true;
     }
 
     mem::CacheBlock *blk = array_.lookup(acc.lineAddr);
-    if (acc.isStore)
-        return handleStore(acc, blk, now);
-    return handleLoad(acc, blk, now);
+    bool accepted = acc.isStore ? handleStore(acc, blk, now)
+                                : handleLoad(acc, blk, now);
+    if (accepted)
+        moveGeneration();
+    return accepted;
 }
 
 bool
 GtscL1::parkBehindStore(const mem::Access &acc)
 {
     mem::MshrEntry *entry = mshr_.alloc(acc.lineAddr);
-    if (!entry) {
-        ++(*rejects_);
-        return false;
-    }
+    if (!entry)
+        return reject(tagAccesses_, rejects_);
     entry->lockWait = true;
     entry->waiters.push_back(acc);
     ++(*lockParks_);
@@ -287,10 +298,8 @@ GtscL1::handleLoad(const mem::Access &acc, mem::CacheBlock *blk,
 
     // Miss: cold (no tag) or expired lease for this warp.
     mem::MshrEntry *entry = mshr_.alloc(acc.lineAddr);
-    if (!entry) {
-        ++(*rejects_);
-        return false;
-    }
+    if (!entry)
+        return reject(tagAccesses_, rejects_);
     Ts req_wts = blk ? blk->meta.wts : Ts{0};
     if (!acc.replayed) {
         if (blk) {
@@ -332,10 +341,8 @@ GtscL1::handleStore(const mem::Access &acc, mem::CacheBlock *blk,
     // cost the paper quantifies (~200 outstanding writes per store
     // instruction at full occupancy).
     if (visibility_ == Visibility::WriteBuffer &&
-        pendingStores_.size() >= writeBufferEntries_) {
-        ++(*wbFullRejects_);
-        return false;
-    }
+        pendingStores_.size() >= writeBufferEntries_)
+        return reject(tagAccesses_, wbFullRejects_);
 
     PendingStore ps;
     ps.access = acc;
@@ -501,6 +508,7 @@ void
 GtscL1::receiveResponse(mem::Packet &&pkt, Cycle now)
 {
     GTSC_DEBUG("L1[", sm_, "] @", now, " <- ", pkt.toString());
+    moveGeneration();
     if (pkt.tsReset || pkt.epoch > epoch_)
         adoptEpoch();
 

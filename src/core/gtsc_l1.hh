@@ -49,8 +49,9 @@ class GtscL1 final : public mem::L1Controller
     bool access(const mem::Access &acc, Cycle now) override;
     void receiveResponse(mem::Packet &&pkt, Cycle now) override;
     /** Replays re-enter access() in order; stop on structural
-     *  reject. Inline: the per-cycle call reduces to one empty-deque
-     *  check on the (overwhelmingly common) replay-free cycles. */
+     *  reject (each accepted replay moves the reject generation).
+     *  Inline: the per-cycle call reduces to one empty-deque check
+     *  on the (overwhelmingly common) replay-free cycles. */
     void
     tick(Cycle now) override
     {

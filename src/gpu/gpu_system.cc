@@ -160,7 +160,7 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
     }
     for (unsigned s = 0; s < params_.numSms; ++s) {
         l1s_[s]->setWakeHook([this, s](Cycle at) { l1Wheel_.arm(s, at); });
-        sms_[s]->setWakeHook([this, s] { smWheel_.arm(s, cycle_); });
+        sms_[s]->setWakeHook([this, s](Cycle at) { smWheel_.arm(s, at); });
         // Deferred-idle accounting clock for the SM's completion
         // callbacks (see Sm::accountThrough).
         sms_[s]->setSchedNow(&cycle_);

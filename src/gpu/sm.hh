@@ -54,8 +54,16 @@ class Sm
     /**
      * Advance one cycle: wake warps, issue, account stalls. The main
      * loop calls it only at the SM's own horizon or after an L1
-     * callback woke it; skipped cycles are accounted in bulk
-     * (accountThrough).
+     * callback or generation move woke it; skipped cycles are
+     * accounted in bulk (accountThrough).
+     *
+     * A picked structural retry whose warp recorded the L1's current
+     * reject generation at its last reject is doomed (reject-
+     * generation contract, mem/controllers.hh): it uses the issue
+     * slot and charges the recorded reject counters without calling
+     * access(). When the scheduler's next pick is pinned to such a
+     * warp — GTO's greedy warp, or Oldest's lowest ready-or-retry
+     * warp; never under RR — the SM parks on it.
      */
     void tick(Cycle now);
 
@@ -63,17 +71,22 @@ class Sm
      * Earliest future cycle at which tick() could issue, wake a warp
      * or retry a structural reject (horizon contract,
      * mem/controllers.hh). Warps blocked purely on memory responses
-     * report kCycleNever — their wake-up is driven by the L1.
+     * report kCycleNever — their wake-up is driven by the L1. A
+     * parked SM reports only its compute, fence and store-buffer
+     * wakes: its doomed retries are charged in bulk, and the L1
+     * wakes it when its generation moves.
      */
     Cycle nextWorkCycle(Cycle now) const;
 
     /**
      * Account `span` skipped cycles in bulk, exactly as `span`
-     * no-progress tick()s would have: one stall/idle cycle per
-     * skipped cycle in the Figure 13 breakdown, plus the per-warp
-     * fence-stall counter for every fence-blocked warp. Only valid
-     * while nextWorkCycle() exceeds the skipped range (no warp wakes
-     * or issues inside it).
+     * tick()s that neither wake a warp nor change one would have:
+     * the per-warp fence-stall counter for every fence-blocked warp,
+     * plus either one stall/idle cycle in the Figure 13 breakdown or,
+     * when parked, one active cycle, one issue slot and the parked
+     * warp's recorded L1 reject counters. Only valid while
+     * nextWorkCycle() exceeds the skipped range (no warp wakes or
+     * issues for real inside it).
      */
     void fastForwardStats(Cycle span);
 
@@ -84,11 +97,13 @@ class Sm
      * range — the main loop never jumps past an armed cycle, so a
      * parked SM's horizon always exceeds it. Called before a due
      * tick, before anything samples this SM's counters (timeline,
-     * loop exit), and from the L1 completion callbacks, which fire
-     * from the event queue and network delivery *before* this SM's
-     * tick on a given cycle and so must observe a now_ lagging the
-     * loop by exactly one cycle (a spin-load backoff computed from a
-     * staler now_ would retry early).
+     * loop exit; the bulk charge lands in the L1's counters too),
+     * from the L1 generation hook, and from the L1 completion
+     * callbacks, which fire from the event queue and network
+     * delivery *before* this SM's tick on a given cycle and so must
+     * observe a now_ lagging the loop by exactly one cycle (a
+     * spin-load backoff computed from a staler now_ would retry
+     * early).
      */
     void
     accountThrough(Cycle upto)
@@ -107,11 +122,15 @@ class Sm
     void setSchedNow(const Cycle *sched) { schedNow_ = sched; }
 
     /**
-     * Re-arm hook (wake contract, mem/controllers.hh): fired after
-     * every L1 completion callback, the only external path that
-     * hands a parked SM work before its horizon.
+     * Re-arm hook (wake contract, mem/controllers.hh), min-merged by
+     * the scheduler. The two external paths that can hand a parked
+     * SM work before its horizon fire it: every L1 completion
+     * callback, with the horizon the SM recomputes after it (the
+     * current cycle when a warp can issue, later when the callback
+     * left only a doomed retry or waits), and a move of the L1's
+     * reject generation while parked, with the current cycle.
      */
-    void setWakeHook(sim::SmallFunction<void()> fn)
+    void setWakeHook(sim::SmallFunction<void(Cycle)> fn)
     {
         wake_ = std::move(fn);
     }
@@ -199,6 +218,17 @@ class Sm
         unsigned storesSubmitted = 0;
         /** TSO: current load aliases a buffered store; must drain. */
         bool loadWaitsStores = false;
+        /**
+         * The L1's reject generation at this warp's latest rejected
+         * submit, and the counters that reject bumped: a retry of
+         * toSubmit[submitHead] at that generation is doomed. Kept
+         * per warp because the L1's own record moves with every
+         * reject (a G-TSC replay included). A record left from an
+         * earlier access never matches: the access that followed it
+         * was accepted, which moved the generation. 0: none.
+         */
+        std::uint64_t rejectGen = 0;
+        mem::RejectCharge rejectCharge;
 
         bool
         submitsPending() const
@@ -269,6 +299,28 @@ class Sm
 
     /** Try to make progress for warp w; true if an issue slot used. */
     bool issueWarp(unsigned w, Cycle now);
+
+    /** Warp w's pending retry would be rejected again (rejectGen). */
+    bool
+    retryDoomed(unsigned w) const
+    {
+        const WarpCtx &warp = warps_[w];
+        return memRetry_[w] && warp.rejectGen != 0 &&
+               warp.rejectGen == l1_.rejectGeneration();
+    }
+
+    /** The warp the scheduler's next pick is pinned to when that
+     *  pick is a doomed retry, else kNpos (see tick()). */
+    unsigned doomedPick() const;
+
+    /** L1 generation hook: unpark (see setWakeHook). */
+    void onGenerationMoved();
+
+    /** Completion-callback prologue/epilogue: catch up skipped
+     *  cycles and unpark, then re-park if still doomed and re-arm at
+     *  the recomputed horizon. */
+    void enterCallback();
+    void leaveCallback();
 
     /** TSO: push the next buffered store into the cache, in order. */
     void drainStoreFifo(unsigned w, Cycle now);
@@ -353,7 +405,12 @@ class Sm
      *  now_ up to lag it by one before running. */
     const Cycle *schedNow_ = nullptr;
     /** Main-loop re-arm hook (setWakeHook). */
-    sim::SmallFunction<void()> wake_;
+    sim::SmallFunction<void(Cycle)> wake_;
+    /** The warp this SM is parked on (doomedPick()), kNpos when
+     *  not parked. Set at the end of an issuing tick and of a
+     *  completion callback; cleared at tick entry, callback entry
+     *  and by a generation move, each of which may change it. */
+    unsigned parkedOn_ = sim::BitMask::kNpos;
 
     /** Warps not yet Done/Idle (O(1) allWarpsDone). */
     unsigned liveWarps_ = 0;

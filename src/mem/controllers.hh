@@ -11,6 +11,7 @@
 #ifndef GTSC_MEM_CONTROLLERS_HH_
 #define GTSC_MEM_CONTROLLERS_HH_
 
+#include <cstdint>
 #include <utility>
 
 #include "mem/access.hh"
@@ -63,6 +64,22 @@
 //    create no tick() work) need no wake; the loop runs the event
 //    queues every cycle it executes and folds nextEventCycle() into
 //    its jump horizon.
+//
+// Reject-generation contract (L1 only, DESIGN.md §7)
+// --------------------------------------------------
+// An L1 that opts in (keepRejectGeneration) keeps a reject
+// generation: a counter that moves at every entry point that can
+// turn a rejected access() into an accepted one, and a record of the
+// counters its latest reject bumped (lastReject). The entry points
+// are an accepted access() (so each replay a tick() accepts),
+// receiveResponse, flush, noteSpinRetry and any verify restore/evict
+// hook; G-TSC also moves it on a TsDomain reset. A reject leaves it
+// where it is. The guarantee: access() of the same Access at the
+// same generation is rejected again and bumps the same counters by
+// the same amounts, whatever the cycle. The SM relies on it to park
+// on such a retry and charge the recorded counters itself instead of
+// calling access(); it is woken through the generation hook, which
+// fires on every move.
 
 namespace gtsc::obs
 {
@@ -71,6 +88,25 @@ class Tracer;
 
 namespace gtsc::mem
 {
+
+/**
+ * The counters one rejected access() bumped, each by one: the tag
+ * probe (when the controller counts one) and the reject cause. A
+ * null slot is unused. charge() repeats the reject's stat effect.
+ */
+struct RejectCharge
+{
+    std::uint64_t *counters[2] = {nullptr, nullptr};
+
+    void
+    charge(std::uint64_t times) const
+    {
+        for (std::uint64_t *c : counters) {
+            if (c)
+                *c += times;
+        }
+    }
+};
 
 /**
  * Private (per-SM) cache controller.
@@ -96,6 +132,8 @@ class L1Controller
     using SendFn = sim::SmallFunction<void(Packet &&)>;
     /** Re-arm this parked component (wake contract above). */
     using WakeFn = sim::SmallFunction<void(Cycle)>;
+    /** The reject generation moved (reject-generation contract). */
+    using GenerationFn = sim::SmallFunction<void()>;
 
     virtual ~L1Controller() = default;
 
@@ -103,6 +141,14 @@ class L1Controller
     void setStoreDone(StoreDoneFn f) { storeDone_ = std::move(f); }
     void setSend(SendFn f) { send_ = std::move(f); }
     void setWakeHook(WakeFn f) { wake_ = std::move(f); }
+    void setGenerationHook(GenerationFn f) { generationMoved_ = std::move(f); }
+
+    /** Reject generation (contract above); 0 when this controller
+     *  keeps none, and then no reject is known to repeat. */
+    std::uint64_t rejectGeneration() const { return rejectGen_; }
+
+    /** Counters the latest rejected access() bumped. */
+    const RejectCharge &lastReject() const { return lastReject_; }
 
     /** Accept a coalesced access; false = structural stall, retry. */
     virtual bool access(const Access &access, Cycle now) = 0;
@@ -154,10 +200,44 @@ class L1Controller
             wake_(now);
     }
 
+    /** Opt into the reject-generation contract (constructor). */
+    void keepRejectGeneration() { rejectGen_ = 1; }
+
+    /** A rejected access may now be accepted: move the generation
+     *  and tell the hook (no-op unless opted in). */
+    void
+    moveGeneration()
+    {
+        if (rejectGen_ == 0)
+            return;
+        ++rejectGen_;
+        if (generationMoved_)
+            generationMoved_();
+    }
+
+    /**
+     * Reject an access: bump `cause`, record it with the tag-probe
+     * counter `tag` the access already bumped (null when none), and
+     * return false for access() to pass on.
+     */
+    bool
+    reject(std::uint64_t *tag, std::uint64_t *cause)
+    {
+        ++(*cause);
+        lastReject_.counters[0] = tag;
+        lastReject_.counters[1] = cause;
+        return false;
+    }
+
     LoadDoneFn loadDone_;
     StoreDoneFn storeDone_;
     SendFn send_;
     WakeFn wake_;
+
+  private:
+    GenerationFn generationMoved_;
+    std::uint64_t rejectGen_ = 0;
+    RejectCharge lastReject_;
 };
 
 /**

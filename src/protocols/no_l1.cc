@@ -16,6 +16,7 @@ NoL1::NoL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     reads_ = &stats_.counter("l1.bypass_reads");
     writes_ = &stats_.counter("l1.bypass_writes");
     rejects_ = &stats_.counter("l1.rejects_mshr_full");
+    keepRejectGeneration();
 }
 
 bool
@@ -28,16 +29,16 @@ void
 NoL1::flush(Cycle now)
 {
     (void)now;
+    moveGeneration();
 }
 
 bool
 NoL1::access(const mem::Access &acc, Cycle now)
 {
     (void)now;
-    if (pendingLoads_.size() + pendingStores_.size() >= maxPending_) {
-        ++(*rejects_);
-        return false;
-    }
+    // No tag probe: a reject bumps the reject counter alone.
+    if (pendingLoads_.size() + pendingStores_.size() >= maxPending_)
+        return reject(nullptr, rejects_);
     mem::Packet pkt;
     pkt.lineAddr = acc.lineAddr;
     pkt.src = sm_;
@@ -59,12 +60,14 @@ NoL1::access(const mem::Access &acc, Cycle now)
         ++(*reads_);
     }
     send_(std::move(pkt));
+    moveGeneration();
     return true;
 }
 
 void
 NoL1::receiveResponse(mem::Packet &&pkt, Cycle now)
 {
+    moveGeneration();
     if (pkt.type == mem::MsgType::BusWrAck) {
         auto it = pendingStores_.find(pkt.reqId);
         GTSC_ASSERT(it != pendingStores_.end(),

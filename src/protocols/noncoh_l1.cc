@@ -27,6 +27,7 @@ NonCohL1::NonCohL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     dataReads_ = &stats_.counter("l1.data_reads");
     dataWrites_ = &stats_.counter("l1.data_writes");
     rejects_ = &stats_.counter("l1.rejects_mshr_full");
+    keepRejectGeneration();
 }
 
 void
@@ -49,6 +50,7 @@ NonCohL1::flush(Cycle now)
     (void)now;
     GTSC_ASSERT(quiescent(), "L1 flush while busy");
     array_.invalidateAll();
+    moveGeneration();
 }
 
 void
@@ -119,6 +121,7 @@ NonCohL1::access(const mem::Access &acc, Cycle now)
             baselineMessageBytes(mem::MsgType::BusWr, acc.wordMask);
         ++(*busWrSent_);
         send_(std::move(pkt));
+        moveGeneration();
         return true;
     }
 
@@ -135,19 +138,19 @@ NonCohL1::access(const mem::Access &acc, Cycle now)
         }
         completeLoad(acc, array_.dataOf(*blk), true,
                      blk->meta.grant, now);
+        moveGeneration();
         return true;
     }
 
     if (mem::MshrEntry *entry = mshr_.find(acc.lineAddr)) {
         entry->waiters.push_back(acc);
         ++(*merged_);
+        moveGeneration();
         return true;
     }
     mem::MshrEntry *entry = mshr_.alloc(acc.lineAddr);
-    if (!entry) {
-        ++(*rejects_);
-        return false;
-    }
+    if (!entry)
+        return reject(tagAccesses_, rejects_);
     ++(*missCold_);
     if (trace_) {
         trace_->record(track_,
@@ -167,12 +170,14 @@ NonCohL1::access(const mem::Access &acc, Cycle now)
     pkt.sizeBytes = baselineMessageBytes(mem::MsgType::BusRd, 0);
     ++(*busRdSent_);
     send_(std::move(pkt));
+    moveGeneration();
     return true;
 }
 
 void
 NonCohL1::receiveResponse(mem::Packet &&pkt, Cycle now)
 {
+    moveGeneration();
     if (pkt.type == mem::MsgType::BusWrAck) {
         mem::Access *pending = pendingStores_.find(pkt.reqId);
         GTSC_ASSERT(pending, "ack without pending store");

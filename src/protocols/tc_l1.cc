@@ -28,6 +28,9 @@ TcL1::TcL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     dataReads_ = &stats_.counter("l1.data_reads");
     dataWrites_ = &stats_.counter("l1.data_writes");
     rejects_ = &stats_.counter("l1.rejects_mshr_full");
+    // Lease expiry cannot turn a reject into a hit: a rejected load
+    // found no line or an expired one, and time only expires leases.
+    keepRejectGeneration();
 }
 
 void
@@ -50,6 +53,7 @@ TcL1::flush(Cycle now)
     (void)now;
     GTSC_ASSERT(quiescent(), "L1 flush while busy");
     array_.invalidateAll();
+    moveGeneration();
 }
 
 void
@@ -108,6 +112,7 @@ TcL1::access(const mem::Access &acc, Cycle now)
         ++(*busWrSent_);
         ++(*dataWrites_);
         send_(std::move(pkt));
+        moveGeneration();
         return true;
     }
 
@@ -125,19 +130,19 @@ TcL1::access(const mem::Access &acc, Cycle now)
         }
         completeLoad(acc, array_.dataOf(*blk), true,
                      blk->meta.grant, now);
+        moveGeneration();
         return true;
     }
 
     if (mem::MshrEntry *entry = mshr_.find(acc.lineAddr)) {
         entry->waiters.push_back(acc);
         ++(*merged_);
+        moveGeneration();
         return true;
     }
     mem::MshrEntry *entry = mshr_.alloc(acc.lineAddr);
-    if (!entry) {
-        ++(*rejects_);
-        return false;
-    }
+    if (!entry)
+        return reject(tagAccesses_, rejects_);
     if (blk) {
         ++(*missExpired_); // self-invalidated: coherence miss
         if (trace_) {
@@ -168,12 +173,14 @@ TcL1::access(const mem::Access &acc, Cycle now)
     pkt.sizeBytes = tcMessageBytes(mem::MsgType::BusRd, 0);
     ++(*busRdSent_);
     send_(std::move(pkt));
+    moveGeneration();
     return true;
 }
 
 void
 TcL1::receiveResponse(mem::Packet &&pkt, Cycle now)
 {
+    moveGeneration();
     if (pkt.type == mem::MsgType::BusWrAck) {
         mem::Access *pending = pendingStores_.find(pkt.reqId);
         GTSC_ASSERT(pending, "TC BusWrAck without pending store");

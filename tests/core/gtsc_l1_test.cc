@@ -347,6 +347,108 @@ TEST_F(GtscL1Fixture, MshrFullRejects)
     EXPECT_EQ(stats.get("l1.rejects_mshr_full"), 1u);
 }
 
+TEST_F(GtscL1Fixture, EveryAcceptingEntryPointMovesRejectGeneration)
+{
+    unsigned moves = 0;
+    l1->setGenerationHook([&moves] { ++moves; });
+    std::uint64_t gen = l1->rejectGeneration();
+    ASSERT_NE(gen, 0u) << "G-TSC keeps a reject generation";
+    auto moved = [&]() {
+        bool m = l1->rejectGeneration() != gen;
+        gen = l1->rejectGeneration();
+        return m;
+    };
+
+    // Accepted accesses: misses, a merge, a hit (below), a store.
+    for (Addr line = 0; line < 4; ++line) {
+        EXPECT_TRUE(l1->access(load(0x10000 + line * 128, 0), now));
+        EXPECT_TRUE(moved()) << "miss " << line;
+    }
+    EXPECT_TRUE(l1->access(load(0x10000, 1), now));
+    EXPECT_TRUE(moved()) << "merge";
+
+    // A reject leaves it alone and records what it bumped; a retry
+    // at the same generation repeats exactly that.
+    std::uint64_t tags = stats.get("l1.tag_accesses");
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_FALSE(l1->access(load(0x20000, 2), now));
+        EXPECT_FALSE(moved());
+        EXPECT_EQ(stats.get("l1.tag_accesses"), tags + i + 1);
+        EXPECT_EQ(stats.get("l1.rejects_mshr_full"), i + 1u);
+    }
+    EXPECT_EQ(l1->lastReject().counters[0],
+              &stats.counter("l1.tag_accesses"));
+    EXPECT_EQ(l1->lastReject().counters[1],
+              &stats.counter("l1.rejects_mshr_full"));
+
+    // A response, and the replays a tick accepts.
+    l1->receiveResponse(fill(0x10000, 5, 15), now);
+    EXPECT_TRUE(moved()) << "response";
+    EXPECT_TRUE(l1->access(load(0x10000, 3), now));
+    EXPECT_TRUE(moved()) << "hit";
+    for (Addr line = 1; line < 4; ++line)
+        l1->receiveResponse(fill(0x10000 + line * 128, 5, 15), now);
+    moved();
+    EXPECT_TRUE(l1->access(store(0x10000, 0, 7), now));
+    EXPECT_TRUE(moved()) << "store";
+    EXPECT_TRUE(l1->access(load(0x10000, 1), now)); // parks behind it
+    moved();
+    Packet ack;
+    ack.type = MsgType::BusWrAck;
+    ack.lineAddr = 0x10000;
+    ack.reqId = sent.back().reqId;
+    ack.wts = 16;
+    ack.rts = 26;
+    ack.prevWts = 5;
+    l1->receiveResponse(std::move(ack), now);
+    moved();
+    ++now;
+    l1->tick(now); // the parked load replays and is accepted
+    EXPECT_TRUE(moved()) << "replaying tick";
+    advance();
+    moved();
+
+    l1->noteSpinRetry(0, 0x10000);
+    EXPECT_TRUE(moved()) << "spin retry";
+    core::L1VerifyState snap = l1->captureVerifyState();
+    l1->restoreVerifyState(snap);
+    EXPECT_TRUE(moved()) << "verify restore";
+    EXPECT_TRUE(l1->verifyEvictLine(0x10080));
+    EXPECT_TRUE(moved()) << "verify evict";
+    EXPECT_FALSE(l1->verifyEvictLine(0x30000));
+    EXPECT_FALSE(moved()) << "nothing evicted";
+    ASSERT_TRUE(l1->quiescent());
+    l1->flush(now);
+    EXPECT_TRUE(moved()) << "flush";
+    EXPECT_EQ(moves, l1->rejectGeneration() - 1) << "hook fires per move";
+}
+
+TEST_F(GtscL1Fixture, WriteBufferFullRejectRecordsItsCounter)
+{
+    cfg.set("gtsc.update_visibility", "writebuffer");
+    cfg.setInt("gtsc.write_buffer_entries", 1);
+    makeL1();
+    EXPECT_TRUE(l1->access(store(0x1000, 0, 1), now));
+    std::uint64_t gen = l1->rejectGeneration();
+    EXPECT_FALSE(l1->access(store(0x2000, 1, 2), now));
+    EXPECT_EQ(l1->rejectGeneration(), gen);
+    EXPECT_EQ(l1->lastReject().counters[0],
+              &stats.counter("l1.tag_accesses"));
+    EXPECT_EQ(l1->lastReject().counters[1],
+              &stats.counter("l1.wb_full_rejects"));
+    EXPECT_EQ(stats.get("l1.wb_full_rejects"), 1u);
+}
+
+TEST_F(GtscL1Fixture, TsDomainResetMovesRejectGeneration)
+{
+    unsigned moves = 0;
+    l1->setGenerationHook([&moves] { ++moves; });
+    std::uint64_t gen = l1->rejectGeneration();
+    domain->triggerReset();
+    EXPECT_EQ(l1->rejectGeneration(), gen + 1);
+    EXPECT_EQ(moves, 1u);
+}
+
 TEST_F(GtscL1Fixture, TsResetResponseFlushesAndRewinds)
 {
     l1->access(load(0x1000, 0), now);

@@ -2,7 +2,9 @@
  * SM timing-model tests against a scripted mock L1: SC blocks every
  * memory instruction until globally performed; RC lets stores
  * fire-and-forget and makes fences wait for acks and the GWCT;
- * spin-loads retry with backoff; stall cycles are classified.
+ * spin-loads retry with backoff; stall cycles are classified; a
+ * retry the L1's reject generation dooms is charged without asking
+ * the L1, and the SM parks on it.
  */
 
 #include "gpu/sm.hh"
@@ -27,16 +29,26 @@ namespace
 class MockL1 : public mem::L1Controller
 {
   public:
+    /** Opt into the reject-generation contract: accepts move the
+     *  generation, rejects record `tags` and `rejects`. */
+    void keepGeneration() { keepRejectGeneration(); }
+
+    /** Something freed the L1 (as a response would). */
+    void bump() { moveGeneration(); }
+
     bool
     access(const Access &acc, Cycle now) override
     {
         (void)now;
-        if (rejectAll)
-            return false;
+        ++accessCalls;
+        ++tags;
+        if (rejectAll || (rejectLine != 0 && acc.lineAddr == rejectLine))
+            return reject(&tags, &rejects);
         if (acc.isStore)
             pendingStores.push_back(acc);
         else
             pendingLoads.push_back(acc);
+        moveGeneration();
         return true;
     }
 
@@ -72,6 +84,11 @@ class MockL1 : public mem::L1Controller
     std::deque<Access> pendingLoads;
     std::deque<Access> pendingStores;
     bool rejectAll = false;
+    /** Reject only accesses to this line (0: none). */
+    Addr rejectLine = 0;
+    unsigned accessCalls = 0;
+    std::uint64_t tags = 0;
+    std::uint64_t rejects = 0;
 };
 
 class SmFixture : public ::testing::Test
@@ -81,19 +98,30 @@ class SmFixture : public ::testing::Test
     make(Consistency cons, std::vector<WarpInstr> warp0_instrs,
          unsigned warps = 2)
     {
+        std::vector<std::vector<WarpInstr>> programs{
+            std::move(warp0_instrs)};
+        for (unsigned w = 1; w < warps; ++w)
+            programs.push_back({WarpInstr::exit()});
+        makeWarps(cons, std::move(programs));
+    }
+
+    /** One program per warp. */
+    void
+    makeWarps(Consistency cons,
+              std::vector<std::vector<WarpInstr>> warp_instrs)
+    {
         cfg.setInt("gpu.num_sms", 1);
-        cfg.setInt("gpu.warps_per_sm", static_cast<int>(warps));
+        cfg.setInt("gpu.warps_per_sm",
+                   static_cast<int>(warp_instrs.size()));
         cfg.set("gpu.consistency",
                 cons == Consistency::SC ? "sc" : "rc");
         params = GpuParams::fromConfig(cfg);
         sm = std::make_unique<Sm>(0, params, cfg, stats, l1, values);
 
         std::vector<std::unique_ptr<gpu::WarpProgram>> programs;
-        programs.push_back(std::make_unique<gpu::TraceProgram>(
-            std::move(warp0_instrs)));
-        for (unsigned w = 1; w < warps; ++w) {
-            programs.push_back(std::make_unique<gpu::TraceProgram>(
-                std::vector<WarpInstr>{WarpInstr::exit()}));
+        for (auto &instrs : warp_instrs) {
+            programs.push_back(
+                std::make_unique<gpu::TraceProgram>(std::move(instrs)));
         }
         sm->launchKernel(std::move(programs));
     }
@@ -381,4 +409,181 @@ TEST_F(SmFixture, FastForwardStatsMatchesPerCycleClassification)
     sm->fastForwardStats(7);
     EXPECT_EQ(statsGet("sm.compute_stall_cycles"), before + 7);
     EXPECT_EQ(statsGet("sm.idle_cycles"), idle_before);
+}
+
+TEST_F(SmFixture, DoomedRetryIsChargedWithoutAskingTheL1)
+{
+    l1.keepGeneration();
+    make(Consistency::RC, {WarpInstr::loadScalar(0x100),
+                           WarpInstr::exit()},
+         1);
+    l1.rejectAll = true;
+    tick(); // the first submit asks the L1 and is rejected
+    ASSERT_EQ(l1.accessCalls, 1u);
+    ASSERT_EQ(l1.rejects, 1u);
+    tick(5); // same generation: each retry repeats the reject
+    EXPECT_EQ(l1.accessCalls, 1u) << "doomed retries never call access()";
+    EXPECT_EQ(l1.tags, 6u);
+    EXPECT_EQ(l1.rejects, 6u) << "charged once per cycle";
+    EXPECT_EQ(statsGet("sm.active_cycles"), 6u);
+    EXPECT_EQ(sm->issueSlotsUsed(), 6u);
+
+    // Once the generation moves the retry asks the L1 again.
+    l1.rejectAll = false;
+    l1.bump();
+    tick();
+    EXPECT_EQ(l1.accessCalls, 2u);
+    EXPECT_EQ(l1.pendingLoads.size(), 1u);
+    EXPECT_EQ(l1.rejects, 6u);
+}
+
+TEST_F(SmFixture, GtoParksOnDoomedRetryUntilComputeWake)
+{
+    l1.keepGeneration();
+    // Warp 0 computes until cycle 31; warp 1's load is rejected and,
+    // as GTO's greedy warp, takes every slot after that.
+    makeWarps(Consistency::RC,
+              {{WarpInstr::compute(30), WarpInstr::exit()},
+               {WarpInstr::loadScalar(0x100), WarpInstr::exit()}});
+    l1.rejectAll = true;
+    tick(3);
+    ASSERT_EQ(l1.accessCalls, 1u);
+    EXPECT_EQ(sm->nextWorkCycle(now), 31u)
+        << "parked: only the compute wake remains";
+}
+
+TEST_F(SmFixture, GtoParkedWithNoOtherWakeWaitsForTheL1)
+{
+    l1.keepGeneration();
+    make(Consistency::RC, {WarpInstr::loadScalar(0x100),
+                           WarpInstr::exit()},
+         1);
+    l1.rejectAll = true;
+    tick(2);
+    EXPECT_EQ(sm->nextWorkCycle(now), kCycleNever);
+}
+
+TEST_F(SmFixture, OldestParksOnLowestDoomedRetry)
+{
+    l1.keepGeneration();
+    cfg.set("gpu.scheduler", "oldest");
+    make(Consistency::RC, {WarpInstr::loadScalar(0x100),
+                           WarpInstr::exit()});
+    l1.rejectAll = true;
+    tick(2);
+    EXPECT_EQ(sm->nextWorkCycle(now), kCycleNever);
+}
+
+TEST_F(SmFixture, RoundRobinNeverParks)
+{
+    l1.keepGeneration();
+    cfg.set("gpu.scheduler", "rr");
+    make(Consistency::RC, {WarpInstr::loadScalar(0x100),
+                           WarpInstr::exit()},
+         1);
+    l1.rejectAll = true;
+    for (int i = 0; i < 4; ++i) {
+        tick();
+        EXPECT_EQ(sm->nextWorkCycle(now), now + 1);
+    }
+    EXPECT_EQ(l1.accessCalls, 1u) << "doomed retries still skip access()";
+}
+
+TEST_F(SmFixture, GenerationMoveReArmsParkedSmAtCurrentCycle)
+{
+    l1.keepGeneration();
+    make(Consistency::RC, {WarpInstr::loadScalar(0x100),
+                           WarpInstr::exit()},
+         1);
+    std::vector<Cycle> wakes;
+    sm->setWakeHook([&wakes](Cycle at) { wakes.push_back(at); });
+    sm->setSchedNow(&now);
+    l1.rejectAll = true;
+    tick(); // rejected at cycle 1; parked
+    ASSERT_EQ(sm->nextWorkCycle(now), kCycleNever);
+
+    // The loop runs on without ticking the parked SM; at cycle 6 a
+    // response frees the L1.
+    now = 6;
+    l1.rejectAll = false;
+    l1.bump();
+    ASSERT_EQ(wakes.size(), 1u);
+    EXPECT_EQ(wakes[0], 6u);
+    // Cycles 2-5 were charged as doomed retries before the move.
+    EXPECT_EQ(statsGet("sm.active_cycles"), 5u);
+    EXPECT_EQ(l1.rejects, 5u);
+    EXPECT_EQ(sm->nextWorkCycle(now - 1), now);
+
+    sm->tick(now);
+    EXPECT_EQ(l1.accessCalls, 2u);
+    EXPECT_EQ(l1.pendingLoads.size(), 1u);
+
+    // Moves while not parked wake nothing.
+    l1.bump();
+    EXPECT_EQ(wakes.size(), 1u);
+}
+
+TEST_F(SmFixture, CallbackLeavingRetryDoomedReArmsAtHorizon)
+{
+    l1.keepGeneration();
+    l1.rejectLine = 0x100;
+    // Warp 0's load is accepted; warp 1's is rejected and parks the
+    // SM. Warp 0's completion leaves warp 1 doomed and pinned.
+    makeWarps(Consistency::RC,
+              {{WarpInstr::loadScalar(0x200), WarpInstr::compute(40),
+                WarpInstr::exit()},
+               {WarpInstr::loadScalar(0x100), WarpInstr::exit()}});
+    std::vector<Cycle> wakes;
+    sm->setWakeHook([&wakes](Cycle at) { wakes.push_back(at); });
+    sm->setSchedNow(&now);
+    tick(3);
+    ASSERT_EQ(l1.pendingLoads.size(), 1u);
+    ASSERT_EQ(sm->nextWorkCycle(now), kCycleNever);
+    l1.completeLoad(); // warp 0 is Ready, but GTO stays on warp 1
+    ASSERT_EQ(wakes.size(), 1u);
+    EXPECT_EQ(wakes[0], kCycleNever) << "no tick for a doomed retry";
+}
+
+TEST_F(SmFixture, FastForwardOverParkedSpanMatchesTicking)
+{
+    l1.keepGeneration();
+    l1.rejectLine = 0x100;
+    // Warp 0 blocks on a fence behind its store; warp 1 parks the SM
+    // on its rejected load.
+    makeWarps(Consistency::RC,
+              {{WarpInstr::storeScalar(0x200, 1), WarpInstr::fence(),
+                WarpInstr::exit()},
+               {WarpInstr::loadScalar(0x100), WarpInstr::exit()}});
+    tick(4);
+    ASSERT_EQ(sm->nextWorkCycle(now), kCycleNever);
+    const char *names[] = {"sm.active_cycles", "sm.idle_cycles",
+                           "sm.mem_stall_cycles",
+                           "sm.compute_stall_cycles",
+                           "sm.fence_stall_warp_cycles"};
+    auto snapshot = [&]() {
+        std::vector<std::uint64_t> v;
+        for (const char *n : names)
+            v.push_back(statsGet(n));
+        v.push_back(sm->issueSlotsUsed());
+        v.push_back(l1.tags);
+        v.push_back(l1.rejects);
+        return v;
+    };
+    auto delta = [](const std::vector<std::uint64_t> &a,
+                    const std::vector<std::uint64_t> &b) {
+        std::vector<std::uint64_t> d;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            d.push_back(b[i] - a[i]);
+        return d;
+    };
+    unsigned calls = l1.accessCalls;
+    auto s0 = snapshot();
+    tick(7);
+    auto s1 = snapshot();
+    sm->fastForwardStats(7);
+    auto s2 = snapshot();
+    EXPECT_EQ(delta(s0, s1), delta(s1, s2));
+    EXPECT_EQ(delta(s0, s1)[4], 7u) << "one fence-blocked warp";
+    EXPECT_EQ(delta(s0, s1)[7], 7u) << "one reject per cycle";
+    EXPECT_EQ(l1.accessCalls, calls);
 }

@@ -137,6 +137,53 @@ TEST_F(TcL1Fixture, AckDeliversGwct)
     EXPECT_EQ(storesDone[0].second, 777u);
 }
 
+TEST_F(TcL1Fixture, EveryAcceptingEntryPointMovesRejectGeneration)
+{
+    cfg.setInt("l1.mshr_entries", 1);
+    SetUp();
+    std::uint64_t gen = l1->rejectGeneration();
+    ASSERT_NE(gen, 0u) << "TC keeps a reject generation";
+    auto moved = [&]() {
+        bool m = l1->rejectGeneration() != gen;
+        gen = l1->rejectGeneration();
+        return m;
+    };
+
+    EXPECT_TRUE(l1->access(load(0x1000), now));
+    EXPECT_TRUE(moved()) << "miss";
+    EXPECT_TRUE(l1->access(load(0x1000, 1), now));
+    EXPECT_TRUE(moved()) << "merge";
+    EXPECT_TRUE(l1->access(store(0x3000, 5), now));
+    EXPECT_TRUE(moved()) << "store";
+
+    // A reject leaves it alone, and time alone cannot turn it into
+    // an accept: a rejected load found no line or an expired one.
+    EXPECT_FALSE(l1->access(load(0x2000), now));
+    EXPECT_FALSE(moved());
+    EXPECT_EQ(l1->lastReject().counters[0],
+              &stats.counter("l1.tag_accesses"));
+    EXPECT_EQ(l1->lastReject().counters[1],
+              &stats.counter("l1.rejects_mshr_full"));
+    advance(100);
+    EXPECT_FALSE(l1->access(load(0x2000), now));
+    EXPECT_EQ(stats.get("l1.rejects_mshr_full"), 2u);
+
+    l1->receiveResponse(fill(0x1000, now + 50, now), now);
+    EXPECT_TRUE(moved()) << "response";
+    EXPECT_TRUE(l1->access(load(0x1000), now));
+    EXPECT_TRUE(moved()) << "hit";
+    Packet ack;
+    ack.type = MsgType::BusWrAck;
+    ack.lineAddr = 0x3000;
+    ack.reqId = sent[1].reqId;
+    l1->receiveResponse(std::move(ack), now);
+    EXPECT_TRUE(moved()) << "ack";
+    advance();
+    ASSERT_TRUE(l1->quiescent());
+    l1->flush(now);
+    EXPECT_TRUE(moved()) << "flush";
+}
+
 class TcL2Fixture : public ::testing::Test
 {
   protected:
