@@ -1,6 +1,7 @@
 #include "workloads/trace_file.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/log.hh"
@@ -11,14 +12,41 @@ namespace gtsc::workloads
 namespace
 {
 
-std::uint64_t
+/**
+ * A field of type T: decimal digits, or 0x and hex digits, no sign
+ * and no other text, and no larger than T holds (the caller must
+ * never narrow a bigger value into a different one).
+ */
+template <typename T>
+T
 parseNum(const std::string &tok, unsigned line_no)
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(tok.c_str(), &end, 0);
-    if (end == tok.c_str() || *end != '\0')
+    bool hex = tok.size() > 2 && tok[0] == '0' &&
+               (tok[1] == 'x' || tok[1] == 'X');
+    std::size_t first = hex ? 2 : 0;
+    if (tok.size() == first)
         GTSC_FATAL("trace line ", line_no, ": bad number '", tok, "'");
-    return v;
+    const std::uint64_t max = std::numeric_limits<T>::max();
+    const std::uint64_t base = hex ? 16 : 10;
+    std::uint64_t v = 0;
+    for (std::size_t i = first; i < tok.size(); ++i) {
+        char c = tok[i];
+        std::uint64_t d;
+        if (c >= '0' && c <= '9')
+            d = static_cast<std::uint64_t>(c - '0');
+        else if (hex && c >= 'a' && c <= 'f')
+            d = static_cast<std::uint64_t>(c - 'a' + 10);
+        else if (hex && c >= 'A' && c <= 'F')
+            d = static_cast<std::uint64_t>(c - 'A' + 10);
+        else
+            GTSC_FATAL("trace line ", line_no, ": bad number '", tok,
+                       "'");
+        if (v > (max - d) / base)
+            GTSC_FATAL("trace line ", line_no, ": number '", tok,
+                       "' is larger than its field holds (", max, ")");
+        v = v * base + d;
+    }
+    return static_cast<T>(v);
 }
 
 } // namespace
@@ -84,8 +112,7 @@ TraceFileWorkload::parse(const std::string &text)
         if (op == "kernel") {
             if (args.size() != 1)
                 GTSC_FATAL("trace line ", line_no, ": kernel <n>");
-            unsigned idx =
-                static_cast<unsigned>(parseNum(args[0], line_no));
+            unsigned idx = parseNum<unsigned>(args[0], line_no);
             if (idx != kernels_.size())
                 GTSC_FATAL("trace line ", line_no,
                            ": kernels must be declared in order; "
@@ -99,42 +126,46 @@ TraceFileWorkload::parse(const std::string &text)
                 GTSC_FATAL("trace line ", line_no,
                            ": mem <addr> <value>");
             need_kernel().memInit.emplace_back(
-                parseNum(args[0], line_no),
-                static_cast<std::uint32_t>(parseNum(args[1], line_no)));
+                parseNum<Addr>(args[0], line_no),
+                parseNum<std::uint32_t>(args[1], line_no));
         } else if (op == "warp") {
             if (args.size() != 2)
                 GTSC_FATAL("trace line ", line_no, ": warp <sm> <warp>");
-            auto key = std::make_pair(
-                static_cast<unsigned>(parseNum(args[0], line_no)),
-                static_cast<unsigned>(parseNum(args[1], line_no)));
-            program = &need_kernel().programs[key];
+            KernelTrace &k = need_kernel();
+            SmId sm = parseNum<SmId>(args[0], line_no);
+            WarpId warp = parseNum<WarpId>(args[1], line_no);
+            // Remember the directives naming the highest SM and warp:
+            // makeProgram refuses them on a machine without those.
+            if (k.highestSm.line == 0 || sm > k.highestSm.sm)
+                k.highestSm = {sm, warp, line_no};
+            if (k.highestWarp.line == 0 || warp > k.highestWarp.warp)
+                k.highestWarp = {sm, warp, line_no};
+            program = &k.programs[{sm, warp}];
         } else if (op == "ld") {
             if (args.empty() || args.size() > 2)
                 GTSC_FATAL("trace line ", line_no, ": ld <addr> [mask]");
             std::uint32_t mask =
                 args.size() == 2
-                    ? static_cast<std::uint32_t>(
-                          parseNum(args[1], line_no))
+                    ? parseNum<std::uint32_t>(args[1], line_no)
                     : 0x1u;
             need_program(line_no)
                 .push_back(gpu::WarpInstr::loadStrided(
-                    parseNum(args[0], line_no), gpu::kMaxWarpSize, 4,
-                    mask));
+                    parseNum<Addr>(args[0], line_no), gpu::kMaxWarpSize,
+                    4, mask));
         } else if (op == "st") {
             if (args.size() < 2 || args.size() > 3)
                 GTSC_FATAL("trace line ", line_no,
                            ": st <addr> <value>|auto [mask]");
             std::uint32_t mask =
                 args.size() == 3
-                    ? static_cast<std::uint32_t>(
-                          parseNum(args[2], line_no))
+                    ? parseNum<std::uint32_t>(args[2], line_no)
                     : 0x1u;
             gpu::WarpInstr instr = gpu::WarpInstr::storeStrided(
-                parseNum(args[0], line_no), gpu::kMaxWarpSize, 4, mask);
+                parseNum<Addr>(args[0], line_no), gpu::kMaxWarpSize, 4,
+                mask);
             if (args[1] != "auto") {
                 instr.hasValue = true;
-                instr.value = static_cast<std::uint32_t>(
-                    parseNum(args[1], line_no));
+                instr.value = parseNum<std::uint32_t>(args[1], line_no);
             }
             need_program(line_no).push_back(instr);
         } else if (op == "cmp") {
@@ -142,8 +173,7 @@ TraceFileWorkload::parse(const std::string &text)
                 GTSC_FATAL("trace line ", line_no, ": cmp <cycles>");
             need_program(line_no)
                 .push_back(gpu::WarpInstr::compute(
-                    static_cast<std::uint32_t>(
-                        parseNum(args[0], line_no))));
+                    parseNum<std::uint32_t>(args[0], line_no)));
         } else if (op == "fence") {
             need_program(line_no).push_back(gpu::WarpInstr::fence());
         } else if (op == "spin") {
@@ -152,14 +182,12 @@ TraceFileWorkload::parse(const std::string &text)
                            ": spin <addr> <expect> [maxiters]");
             std::uint32_t max_iters =
                 args.size() == 3
-                    ? static_cast<std::uint32_t>(
-                          parseNum(args[2], line_no))
+                    ? parseNum<std::uint32_t>(args[2], line_no)
                     : 256u;
             need_program(line_no)
                 .push_back(gpu::WarpInstr::spinUntil(
-                    parseNum(args[0], line_no),
-                    static_cast<std::uint32_t>(
-                        parseNum(args[1], line_no)),
+                    parseNum<Addr>(args[0], line_no),
+                    parseNum<std::uint32_t>(args[1], line_no),
                     max_iters));
         } else {
             GTSC_FATAL("trace line ", line_no, ": unknown directive '",
@@ -192,8 +220,18 @@ std::unique_ptr<gpu::WarpProgram>
 TraceFileWorkload::makeProgram(unsigned kernel, SmId sm, WarpId warp,
                                const gpu::GpuParams &params)
 {
-    (void)params;
-    const auto &programs = kernels_[kernel].programs;
+    // A program the machine has no SM or warp for would never run.
+    const KernelTrace &k = kernels_[kernel];
+    for (const Target &t : {k.highestSm, k.highestWarp}) {
+        if (t.line != 0 &&
+            (t.sm >= params.numSms || t.warp >= params.warpsPerSm)) {
+            GTSC_FATAL("trace line ", t.line, ": 'warp ", t.sm, " ",
+                       t.warp, "' names a warp the machine lacks (",
+                       params.numSms, " SMs x ", params.warpsPerSm,
+                       " warps)");
+        }
+    }
+    const auto &programs = k.programs;
     auto it = programs.find({sm, warp});
     if (it == programs.end()) {
         return std::make_unique<gpu::TraceProgram>(

@@ -15,8 +15,12 @@
  *   fence                   memory fence
  *   spin <hexaddr> <expect> [maxiters] spin-load until >= expect
  *
- * Warps not mentioned exit immediately. Select with the registry
- * name "trace:<path>".
+ * Numbers are decimal or 0x-prefixed hex, unsigned, and no larger
+ * than their field holds (32-bit values, masks and cycle counts;
+ * 16-bit SM and warp ids; 64-bit addresses). Warps not mentioned
+ * exit immediately; a 'warp' directive naming an SM or warp the
+ * machine lacks is an error when the kernel's programs are built.
+ * Select with the registry name "trace:<path>".
  */
 
 #ifndef GTSC_WORKLOADS_TRACE_FILE_HH_
@@ -57,12 +61,24 @@ class TraceFileWorkload : public gpu::Workload
 
     void parse(const std::string &text);
 
+    /** A 'warp <sm> <warp>' directive and its line (0: none). */
+    struct Target
+    {
+        SmId sm = 0;
+        WarpId warp = 0;
+        unsigned line = 0;
+    };
+
     struct KernelTrace
     {
         std::vector<std::pair<Addr, std::uint32_t>> memInit;
         std::map<std::pair<unsigned, unsigned>,
                  std::vector<gpu::WarpInstr>>
             programs;
+        /** The directives naming the highest SM and the highest
+         *  warp, checked against the machine in makeProgram. */
+        Target highestSm;
+        Target highestWarp;
     };
 
     std::string name_ = "TRACE";

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "harness/runner.hh"
 #include "workloads/registry.hh"
@@ -87,6 +88,97 @@ TEST(TraceFile, SyntaxErrorsAreFatalWithLineNumbers)
                  std::runtime_error);
     EXPECT_THROW(TraceFileWorkload::fromString("kernel 5\n", "T"),
                  std::runtime_error); // out of order
+}
+
+/** The fatal message fromString(text) throws, or "" if none. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        TraceFileWorkload::fromString(text, "T");
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceFile, NumbersMustFitTheirField)
+{
+    // A sign or a value wider than the field used to wrap: -1 became
+    // 2^64-1, and 'warp 4294967297 0' ran as 'warp 1 0'.
+    EXPECT_NE(parseError("kernel 0\nwarp 4294967297 0\n")
+                  .find("trace line 2: number '4294967297' is larger"),
+              std::string::npos);
+    EXPECT_NE(parseError("kernel 0\nwarp 0 65536\n").find("trace line 2"),
+              std::string::npos)
+        << "warp ids are 16-bit";
+    EXPECT_NE(parseError("kernel 0\nmem 0x100 -1\n")
+                  .find("trace line 2: bad number '-1'"),
+              std::string::npos);
+    for (const char *bad :
+         {"mem 0x100 +1", "mem 0x100 4294967296", "mem 0x100 0x",
+          "mem 0x100 1e3", "mem 0x100 0x1g", "mem 0x10000000000000000 1",
+          "mem 0x100 0x100000000"}) {
+        EXPECT_THROW(TraceFileWorkload::fromString(
+                         std::string("kernel 0\n") + bad + "\n", "T"),
+                     std::runtime_error)
+            << bad;
+    }
+    for (const char *bad :
+         {"ld 0x100 0x1ffffffff", "st 0x100 -5", "st 0x100 1 -1",
+          "cmp 4294967296", "spin 0x100 4294967296",
+          "spin 0x100 1 99999999999"}) {
+        EXPECT_THROW(TraceFileWorkload::fromString(
+                         std::string("kernel 0\nwarp 0 0\n") + bad +
+                             "\n",
+                         "T"),
+                     std::runtime_error)
+            << bad;
+    }
+
+    // The largest value of each field is fine; decimal stays decimal.
+    auto wl = TraceFileWorkload::fromString(
+        "kernel 0\nmem 0xffffffffffffffc0 4294967295\n"
+        "warp 1 010\ncmp 4294967295\nld 0xFFFFFFFFFFFFFF80 0xffffffff\n",
+        "T");
+    mem::MainMemory memory;
+    wl->initMemory(memory, 0);
+    EXPECT_EQ(memory.readWord(0xffffffffffffffc0ull), 4294967295u);
+    sim::Config cfg;
+    cfg.setInt("gpu.num_sms", 2);
+    cfg.setInt("gpu.warps_per_sm", 11);
+    auto p = wl->makeProgram(0, 1, 10, gpu::GpuParams::fromConfig(cfg));
+    gpu::WarpInstr c = p->next();
+    EXPECT_EQ(c.op, gpu::WarpInstr::Op::Compute);
+    EXPECT_EQ(c.computeCycles, 4294967295u);
+    EXPECT_EQ(p->next().laneAddr(0), 0xFFFFFFFFFFFFFF80ull);
+}
+
+TEST(TraceFile, WarpOutsideTheMachineIsFatal)
+{
+    // smallGpu() has 2 SMs x 2 warps. Before, these programs were
+    // silently never run.
+    for (const char *text : {"kernel 0\nwarp 0 0\nld 0x100\nwarp 2 0\n"
+                             "ld 0x200\n",
+                             "kernel 0\nwarp 0 0\nld 0x100\nwarp 1 2\n"
+                             "ld 0x200\n"}) {
+        auto wl = TraceFileWorkload::fromString(text, "T");
+        std::string what;
+        try {
+            wl->makeProgram(0, 0, 0, smallGpu());
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        EXPECT_NE(what.find("trace line 4: 'warp "), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("names a warp the machine lacks (2 SMs x 2 "
+                            "warps)"),
+                  std::string::npos)
+            << what;
+    }
+    auto ok = TraceFileWorkload::fromString(
+        "kernel 0\nwarp 1 1\nld 0x100\n", "T");
+    EXPECT_NO_THROW(ok->makeProgram(0, 0, 0, smallGpu()));
 }
 
 TEST(TraceFile, BadOpcodeIsFatal)
