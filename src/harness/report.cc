@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "sim/log.hh"
+#include "sim/text.hh"
 
 namespace gtsc::harness
 {
@@ -62,6 +63,23 @@ forEachColumn(const RunResult &r, Put &&put)
     put("verified", r.verified);
 }
 
+/** A CSV field per RFC 4180: quoted, with quotes doubled, when it
+ *  holds a comma, a quote or a line break; verbatim otherwise. */
+std::string
+csvField(const std::string &text)
+{
+    if (text.find_first_of(",\"\r\n") == std::string::npos)
+        return text;
+    std::string out = "\"";
+    for (char c : text) {
+        if (c == '"')
+            out += '"';
+        out += c;
+    }
+    out += '"';
+    return out;
+}
+
 } // namespace
 
 std::uint64_t
@@ -115,7 +133,12 @@ csvRow(const RunResult &r)
     oss << std::boolalpha;
     const char *sep = "";
     forEachColumn(r, [&](const char *, const auto &value) {
-        oss << sep << value;
+        oss << sep;
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                     std::string>)
+            oss << csvField(value);
+        else
+            oss << value;
         sep = ",";
     });
     return oss.str();
@@ -144,7 +167,7 @@ toJson(const RunResult &r)
         oss << sep << '"' << name << "\":";
         if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
                                      std::string>)
-            oss << '"' << value << '"';
+            oss << '"' << sim::jsonEscape(value) << '"';
         else
             oss << value;
         sep = ',';

@@ -1,11 +1,11 @@
 /**
  * @file
- * Minimal JSON parsing/escaping for the gtscd line-delimited
- * protocol. Supports the full JSON value grammar (objects, arrays,
- * strings with \uXXXX escapes, numbers, booleans, null) into a
- * simple tagged value; no external dependencies. Writing stays
- * string-building at the call sites (the protocol emits flat
- * objects), with escape() for string payloads.
+ * Minimal JSON parsing for the gtscd line-delimited protocol.
+ * Supports the full JSON value grammar (objects, arrays, strings
+ * with \uXXXX escapes, numbers, booleans, null) into a simple tagged
+ * value; no external dependencies. Writing stays string-building at
+ * the call sites (the protocol emits flat objects), with
+ * sim::jsonEscape() for string payloads.
  */
 
 #ifndef GTSC_SERVE_JSONL_HH_
@@ -62,9 +62,6 @@ struct Value
  * garbage rejected). Returns false with *error set on failure.
  */
 bool parse(std::string_view text, Value *out, std::string *error);
-
-/** JSON-escape `s` (no surrounding quotes). */
-std::string escape(std::string_view s);
 
 } // namespace gtsc::serve::json
 

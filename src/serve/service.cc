@@ -12,6 +12,7 @@
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "protocols/builders.hh"
+#include "sim/text.hh"
 #include "workloads/registry.hh"
 
 namespace gtsc::serve
@@ -25,8 +26,8 @@ errorLine(const std::string &id, const std::string &message)
 {
     std::ostringstream oss;
     oss << "{\"ok\":false,\"op\":\"error\",\"id\":\""
-        << json::escape(id) << "\",\"message\":\""
-        << json::escape(message) << "\"}";
+        << sim::jsonEscape(id) << "\",\"message\":\""
+        << sim::jsonEscape(message) << "\"}";
     return oss.str();
 }
 
@@ -93,10 +94,10 @@ Service::handleLine(const std::string &line, const LineSink &rawSink)
     if (op == "ping") {
         std::ostringstream oss;
         oss << "{\"ok\":true,\"op\":\"pong\",\"id\":\""
-            << json::escape(id) << "\",\"schema\":"
+            << sim::jsonEscape(id) << "\",\"schema\":"
             << kStoreSchemaVersion << ",\"code\":\""
-            << json::escape(kStoreCodeVersion) << "\",\"store\":\""
-            << json::escape(opts_.store ? opts_.store->root() : "")
+            << sim::jsonEscape(kStoreCodeVersion) << "\",\"store\":\""
+            << sim::jsonEscape(opts_.store ? opts_.store->root() : "")
             << "\"}";
         sink(oss.str());
         return true;
@@ -106,7 +107,7 @@ Service::handleLine(const std::string &line, const LineSink &rawSink)
             opts_.store ? opts_.store->stats() : StoreStats{};
         std::ostringstream oss;
         oss << "{\"ok\":true,\"op\":\"stats\",\"id\":\""
-            << json::escape(id) << "\",\"hits\":" << s.hits
+            << sim::jsonEscape(id) << "\",\"hits\":" << s.hits
             << ",\"misses\":" << s.misses << ",\"puts\":" << s.puts
             << ",\"evictions\":" << s.evictions
             << ",\"repaired\":" << s.repaired << ",\"entries\":"
@@ -118,7 +119,7 @@ Service::handleLine(const std::string &line, const LineSink &rawSink)
     }
     if (op == "shutdown") {
         sink("{\"ok\":true,\"op\":\"bye\",\"id\":\"" +
-             json::escape(id) + "\"}");
+             sim::jsonEscape(id) + "\"}");
         return false;
     }
     if (op == "run") {
@@ -227,7 +228,7 @@ Service::handleRun(const json::Value &req, const std::string &id,
         (cached ? hits : misses).fetch_add(1);
         std::ostringstream oss;
         oss << "{\"ok\":true,\"op\":\"result\",\"id\":\""
-            << json::escape(id) << "\",\"cell\":" << idx
+            << sim::jsonEscape(id) << "\",\"cell\":" << idx
             << ",\"cached\":" << (cached ? "true" : "false");
         if (storeOn) {
             oss << ",\"key\":\""
@@ -238,12 +239,12 @@ Service::handleRun(const json::Value &req, const std::string &id,
                 << "\"";
         }
         oss << ",\"result\":" << harness::toJson(r) << ",\"csv\":\""
-            << json::escape(harness::csvRow(r)) << "\"";
+            << sim::jsonEscape(harness::csvRow(r)) << "\"";
         if (!r.obsFiles.empty()) {
             oss << ",\"obs_files\":[";
             for (std::size_t k = 0; k < r.obsFiles.size(); ++k) {
                 oss << (k ? "," : "") << "\""
-                    << json::escape(r.obsFiles[k]) << "\"";
+                    << sim::jsonEscape(r.obsFiles[k]) << "\"";
             }
             oss << "]";
         }
@@ -267,7 +268,7 @@ Service::handleRun(const json::Value &req, const std::string &id,
     char secBuf[32];
     std::snprintf(secBuf, sizeof(secBuf), "%.4f", secs);
     oss << "{\"ok\":true,\"op\":\"done\",\"id\":\""
-        << json::escape(id) << "\",\"cells\":" << specs.size()
+        << sim::jsonEscape(id) << "\",\"cells\":" << specs.size()
         << ",\"hits\":" << hits.load() << ",\"misses\":"
         << misses.load() << ",\"seconds\":" << secBuf << "}";
     sink(oss.str());

@@ -149,3 +149,40 @@ TEST(Report, JsonHasTheCsvColumnsInOrder)
     }
     EXPECT_EQ(at + 1, json.size());
 }
+
+TEST(Report, TextColumnsAreEscaped)
+{
+    // Trace workloads carry their path in the workload name.
+    harness::RunResult r = sampleResult();
+    r.workload = "TRACE(a,b\"q\".trace)";
+    std::string row = harness::csvRow(r);
+    EXPECT_EQ(row.rfind("\"TRACE(a,b\"\"q\"\".trace)\",gtsc,rc,1234,", 0),
+              0u)
+        << row;
+    // Outside the quoted field the row has the header's columns.
+    std::size_t commas = 0;
+    bool quoted = false;
+    for (char c : row) {
+        if (c == '"')
+            quoted = !quoted;
+        else if (c == ',' && !quoted)
+            ++commas;
+    }
+    std::string header = harness::csvHeader();
+    EXPECT_EQ(commas,
+              static_cast<std::size_t>(
+                  std::count(header.begin(), header.end(), ',')));
+
+    std::string json = harness::toJson(r);
+    EXPECT_NE(json.find("\"workload\":\"TRACE(a,b\\\"q\\\".trace)\""),
+              std::string::npos)
+        << json;
+    r.workload = "line\nbreak";
+    EXPECT_EQ(harness::csvRow(r).rfind("\"line\nbreak\",", 0), 0u);
+    EXPECT_NE(harness::toJson(r).find("\"line\\nbreak\""),
+              std::string::npos);
+
+    // Ordinary names print exactly as before.
+    EXPECT_EQ(harness::csvRow(sampleResult()).rfind("BH,gtsc,rc,1234,", 0),
+              0u);
+}

@@ -7,6 +7,7 @@
  */
 
 #include "serve/jsonl.hh"
+#include "sim/text.hh"
 
 #include <string>
 
@@ -105,6 +106,6 @@ TEST(Jsonl, AsStringCoercions)
 TEST(Jsonl, EscapeRoundTripsThroughParse)
 {
     std::string nasty = "a\"b\\c\nd\te\x01";
-    json::Value v = parseOk("\"" + json::escape(nasty) + "\"");
+    json::Value v = parseOk("\"" + gtsc::sim::jsonEscape(nasty) + "\"");
     EXPECT_EQ(v.str, nasty);
 }
