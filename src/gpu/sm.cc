@@ -127,23 +127,6 @@ Sm::doomedPick() const
 }
 
 void
-Sm::flushStatWindow()
-{
-    *activeCycles_ += win_.activeCycles;
-    *memStallCycles_ += win_.memStallCycles;
-    *computeStallCycles_ += win_.computeStallCycles;
-    *idleCycles_ += win_.idleCycles;
-    *instrs_ += win_.instrs;
-    *loads_ += win_.loads;
-    *stores_ += win_.stores;
-    *fences_ += win_.fences;
-    *spinRetries_ += win_.spinRetries;
-    *spinGiveups_ += win_.spinGiveups;
-    *fenceStallCycles_ += win_.fenceStallCycles;
-    win_ = StatWindow{};
-}
-
-void
 Sm::attachTracer(obs::Tracer &tracer)
 {
     trace_ = &tracer;
@@ -224,7 +207,7 @@ Sm::retire(unsigned w)
     if (warpState_[w] != WarpState::Done)
         setWarpState(w, WarpState::Ready);
     ++retiredTotal_;
-    ++win_.instrs;
+    ++*instrs_;
 }
 
 void
@@ -247,7 +230,7 @@ Sm::tick(Cycle now)
         // WarpResume events of compute- and fence-wakes on the same
         // cycle must interleave in warp order (the tracer keeps
         // insertion order within a cycle).
-        win_.fenceStallCycles += waitFenceMask_.count();
+        *fenceStallCycles_ += waitFenceMask_.count();
         sim::forEachSetOr(
             waitComputeMask_, waitFenceMask_, [&](unsigned w) {
                 if (warpState_[w] == WarpState::WaitCompute) {
@@ -261,7 +244,7 @@ Sm::tick(Cycle now)
                     setWarpState(w, WarpState::Ready);
                     // The fence instruction retires when it unblocks.
                     ++retiredTotal_;
-                    ++win_.instrs;
+                    ++*instrs_;
                     if (trace_)
                         traceWarp(obs::EventKind::WarpResume, now, w,
                                   0, 0);
@@ -302,7 +285,7 @@ Sm::tick(Cycle now)
     if (pick != sim::BitMask::kNpos) {
         bool progress = issueWarp(pick, now);
         GTSC_ASSERT(progress, "picked warp did not use its slot");
-        ++win_.activeCycles;
+        ++*activeCycles_;
         ++issueSlotsUsed_;
         // Issue changed warp state; the cached classification and
         // horizon no longer describe it.
@@ -316,13 +299,13 @@ Sm::tick(Cycle now)
     bool any_live = any_compute || any_mem || readyMask_.any();
     std::uint64_t *bucket;
     if (!any_live)
-        bucket = &win_.idleCycles;
+        bucket = idleCycles_;
     else if (any_compute)
-        bucket = &win_.computeStallCycles;
+        bucket = computeStallCycles_;
     else if (any_mem)
-        bucket = &win_.memStallCycles;
+        bucket = memStallCycles_;
     else
-        bucket = &win_.idleCycles;
+        bucket = idleCycles_;
     ++(*bucket);
 
     // Cache the end-of-tick classification and horizon so the parked
@@ -395,9 +378,9 @@ Sm::fastForwardStats(Cycle span)
         // Each skipped cycle is the tick the park stands for: no warp
         // wakes, the pinned warp takes the slot and its retry repeats
         // its recorded reject.
-        win_.fenceStallCycles +=
+        *fenceStallCycles_ +=
             static_cast<std::uint64_t>(waitFenceMask_.count()) * span;
-        win_.activeCycles += span;
+        *activeCycles_ += span;
         issueSlotsUsed_ += span;
         warps_[parkedOn_].rejectCharge.charge(span);
         return;
@@ -408,7 +391,7 @@ Sm::fastForwardStats(Cycle span)
     // additions. This is what keeps the main loop's deferred
     // catch-up O(1) per parked SM.
     if (idleTickValid_) {
-        win_.fenceStallCycles +=
+        *fenceStallCycles_ +=
             static_cast<std::uint64_t>(cachedWaitFence_) * span;
         *cachedStallBucket_ += span;
         return;
@@ -420,17 +403,17 @@ Sm::fastForwardStats(Cycle span)
     unsigned wait_fence = waitFenceMask_.count();
     bool any_mem = wait_fence != 0 || waitMemMask_.any();
     bool any_live = any_compute || any_mem || readyMask_.any();
-    win_.fenceStallCycles +=
+    *fenceStallCycles_ +=
         static_cast<std::uint64_t>(wait_fence) * span;
     std::uint64_t *bucket;
     if (!any_live)
-        bucket = &win_.idleCycles;
+        bucket = idleCycles_;
     else if (any_compute)
-        bucket = &win_.computeStallCycles;
+        bucket = computeStallCycles_;
     else if (any_mem)
-        bucket = &win_.memStallCycles;
+        bucket = memStallCycles_;
     else
-        bucket = &win_.idleCycles;
+        bucket = idleCycles_;
     *bucket += span;
     // Re-establish the classification cache so the rest of the
     // parked stretch takes the fast path.
@@ -509,7 +492,7 @@ Sm::beginInstr(unsigned w, Cycle now)
       }
 
       case WarpInstr::Op::Fence:
-        ++win_.fences;
+        ++*fences_;
         if (fenceSatisfied(warp, now)) {
             retire(w);
         } else {
@@ -533,9 +516,9 @@ Sm::beginInstr(unsigned w, Cycle now)
                             static_cast<WarpId>(w), accesses);
         GTSC_ASSERT(!accesses.empty(), "memory instr with no active lanes");
         if (is_store)
-            ++win_.stores;
+            ++*stores_;
         else
-            ++win_.loads;
+            ++*loads_;
 
         for (auto &acc : accesses) {
             acc.id = nextAccessId_++;
@@ -655,7 +638,7 @@ Sm::finishMemInstr(unsigned w, Cycle now)
             // Retry after a short backoff; tell the protocol so
             // G-TSC can advance the warp's logical clock.
             ++warp.spinIters;
-            ++win_.spinRetries;
+            ++*spinRetries_;
             l1_.noteSpinRetry(static_cast<WarpId>(w),
                               mem::lineAlign(warp.cur.laneAddr(0)));
             warpReadyAt_[w] = now + spinBackoff_;
@@ -669,7 +652,7 @@ Sm::finishMemInstr(unsigned w, Cycle now)
             return;
         }
         if (!satisfied)
-            ++win_.spinGiveups;
+            ++*spinGiveups_;
     }
     if (warp.cur.op == WarpInstr::Op::Load ||
         warp.cur.op == WarpInstr::Op::SpinLoad) {

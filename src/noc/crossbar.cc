@@ -42,17 +42,6 @@ Crossbar::txCycles(std::uint32_t bytes) const
 }
 
 void
-Crossbar::flushStatWindow()
-{
-    *bytesTotal_ += win_.bytes;
-    for (unsigned t = 0; t < mem::kNumMsgTypes; ++t) {
-        *bytesByType_[t] += win_.bytesByType[t];
-        *packetsByType_[t] += win_.packetsByType[t];
-    }
-    win_ = StatWindow{};
-}
-
-void
 Crossbar::attachTracer(obs::Tracer &tracer)
 {
     trace_ = &tracer;
@@ -75,10 +64,10 @@ Crossbar::inject(unsigned src, unsigned dst, mem::Packet &&pkt, Cycle now)
                 pkt.toString());
 
     pkt.injectedAt = now;
-    win_.bytes += pkt.sizeBytes;
-    *packetsTotal_ += 1; // live: the progress token reads it per cycle
-    win_.bytesByType[static_cast<unsigned>(pkt.type)] += pkt.sizeBytes;
-    win_.packetsByType[static_cast<unsigned>(pkt.type)] += 1;
+    *bytesTotal_ += pkt.sizeBytes;
+    *packetsTotal_ += 1;
+    *bytesByType_[static_cast<unsigned>(pkt.type)] += pkt.sizeBytes;
+    *packetsByType_[static_cast<unsigned>(pkt.type)] += 1;
 
     if (trace_) {
         recordNocEvent(*trace_, track_, obs::EventKind::NocInject, pkt,

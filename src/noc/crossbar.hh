@@ -76,14 +76,6 @@ class Crossbar final : public Network
 
     bool quiescent() const override { return inFlight_ == 0; }
 
-    std::uint64_t
-    totalBytes() const override
-    {
-        return *bytesTotal_ + win_.bytes;
-    }
-
-    void flushStatWindow() override;
-
     void attachTracer(obs::Tracer &tracer) override;
     void attachTranscript(obs::Transcript &transcript,
                           bool response) override;
@@ -143,24 +135,10 @@ class Crossbar final : public Network
      */
     Cycle earliestEject_ = kCycleNever;
 
-    /**
-     * Windowed counter block: inject accumulates bytes and per-type
-     * tallies here (one dense struct) and flushStatWindow() batches
-     * them into the StatSet map nodes. The total packet counter is
-     * deliberately NOT windowed: the main loop's progress token
-     * reads it every simulated cycle and must see live values.
-     */
-    struct StatWindow
-    {
-        std::uint64_t bytes = 0;
-        std::uint64_t bytesByType[mem::kNumMsgTypes] = {};
-        std::uint64_t packetsByType[mem::kNumMsgTypes] = {};
-    };
-    StatWindow win_;
-
-    // flush targets in the StatSet (stable map-node addresses)
+    // StatSet counters, cached at construction (stable map-node
+    // addresses)
     std::uint64_t *bytesTotal_;
-    std::uint64_t *packetsTotal_; ///< live (progress token), not windowed
+    std::uint64_t *packetsTotal_;
     /** Per-MsgType byte/packet counters, cached at construction so
      * the inject hot path never rebuilds stat-name strings. */
     std::uint64_t *bytesByType_[mem::kNumMsgTypes];

@@ -83,17 +83,6 @@ Mesh::txCycles(std::uint32_t bytes) const
 }
 
 void
-Mesh::flushStatWindow()
-{
-    *bytesTotal_ += win_.bytes;
-    for (unsigned t = 0; t < mem::kNumMsgTypes; ++t) {
-        *bytesByType_[t] += win_.bytesByType[t];
-        *packetsByType_[t] += win_.packetsByType[t];
-    }
-    win_ = StatWindow{};
-}
-
-void
 Mesh::attachTracer(obs::Tracer &tracer)
 {
     trace_ = &tracer;
@@ -115,10 +104,10 @@ Mesh::inject(unsigned src, unsigned dst, mem::Packet &&pkt, Cycle now)
     GTSC_ASSERT(pkt.sizeBytes > 0, "packet injected with zero size");
 
     pkt.injectedAt = now;
-    win_.bytes += pkt.sizeBytes;
-    *packetsTotal_ += 1; // live: the progress token reads it per cycle
-    win_.bytesByType[static_cast<unsigned>(pkt.type)] += pkt.sizeBytes;
-    win_.packetsByType[static_cast<unsigned>(pkt.type)] += 1;
+    *bytesTotal_ += pkt.sizeBytes;
+    *packetsTotal_ += 1;
+    *bytesByType_[static_cast<unsigned>(pkt.type)] += pkt.sizeBytes;
+    *packetsByType_[static_cast<unsigned>(pkt.type)] += 1;
 
     // XY route: walk X first, then Y, serializing on each link.
     unsigned node = srcNode(src);

@@ -44,14 +44,6 @@ class Mesh final : public Network
 
     bool quiescent() const override { return inFlight_ == 0; }
 
-    std::uint64_t
-    totalBytes() const override
-    {
-        return *bytesTotal_ + win_.bytes;
-    }
-
-    void flushStatWindow() override;
-
     /** Grid geometry (tests). */
     unsigned gridWidth() const { return width_; }
     unsigned hops(unsigned src, unsigned dst) const;
@@ -135,23 +127,8 @@ class Mesh final : public Network
     std::uint64_t seq_ = 0;
     std::uint64_t inFlight_ = 0;
 
-    /**
-     * Windowed counter block (same batching as the crossbar's):
-     * inject accumulates bytes and per-type tallies here and
-     * flushStatWindow() folds them into the StatSet map nodes. The
-     * total packet counter stays live — the main loop's progress
-     * token reads it every simulated cycle.
-     */
-    struct StatWindow
-    {
-        std::uint64_t bytes = 0;
-        std::uint64_t bytesByType[mem::kNumMsgTypes] = {};
-        std::uint64_t packetsByType[mem::kNumMsgTypes] = {};
-    };
-    StatWindow win_;
-
     std::uint64_t *bytesTotal_;
-    std::uint64_t *packetsTotal_; ///< live (progress token), not windowed
+    std::uint64_t *packetsTotal_;
     /** Per-MsgType byte/packet counters, cached at construction so
      * the inject hot path never rebuilds stat-name strings. */
     std::uint64_t *bytesByType_[mem::kNumMsgTypes];

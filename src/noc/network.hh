@@ -60,15 +60,6 @@ class Network
     virtual Cycle nextWorkCycle(Cycle now) const { return now + 1; }
 
     virtual bool quiescent() const = 0;
-    virtual std::uint64_t totalBytes() const = 0;
-
-    /**
-     * Batch locally windowed counters into the StatSet (no-op for
-     * networks that count straight into it). Anything reading the
-     * network's stats by name mid-run must be preceded by a flush;
-     * GpuSystem owns those call sites.
-     */
-    virtual void flushStatWindow() {}
 
     /** Opt into inject/deliver event tracing (no-op by default). */
     virtual void attachTracer(obs::Tracer &tracer) { (void)tracer; }

@@ -133,16 +133,6 @@ class SmFixture : public ::testing::Test
             sm->tick(++now);
     }
 
-    /** Read a counter, batching in the SM's windowed block first
-     *  (the harness flushes at sample/kernel boundaries; here the
-     *  test is the harness). */
-    std::uint64_t
-    statsGet(const std::string &name)
-    {
-        sm->flushStatWindow();
-        return stats.get(name);
-    }
-
     sim::Config cfg;
     sim::StatSet stats;
     MockL1 l1;
@@ -213,7 +203,7 @@ TEST_F(SmFixture, RcFenceWaitsForStoreAcks)
     l1.completeStore();
     tick(5);
     EXPECT_TRUE(sm->allWarpsDone());
-    EXPECT_GT(statsGet("sm.fence_stall_warp_cycles"), 0u);
+    EXPECT_GT(stats.get("sm.fence_stall_warp_cycles"), 0u);
 }
 
 TEST_F(SmFixture, FenceWaitsForGwct)
@@ -255,11 +245,11 @@ TEST_F(SmFixture, SpinLoadRetriesUntilValue)
     l1.completeLoad(0); // not yet
     tick(30);           // backoff elapses, retry issued
     ASSERT_EQ(l1.pendingLoads.size(), 1u) << "spin retried";
-    EXPECT_GT(statsGet("sm.spin_retries"), 0u);
+    EXPECT_GT(stats.get("sm.spin_retries"), 0u);
     l1.completeLoad(5); // satisfied
     tick(5);
     EXPECT_TRUE(sm->allWarpsDone());
-    EXPECT_EQ(statsGet("sm.spin_giveups"), 0u);
+    EXPECT_EQ(stats.get("sm.spin_giveups"), 0u);
 }
 
 TEST_F(SmFixture, SpinLoadGivesUpAfterMaxIters)
@@ -273,7 +263,7 @@ TEST_F(SmFixture, SpinLoadGivesUpAfterMaxIters)
     }
     tick(30);
     EXPECT_TRUE(sm->allWarpsDone());
-    EXPECT_EQ(statsGet("sm.spin_giveups"), 1u);
+    EXPECT_EQ(stats.get("sm.spin_giveups"), 1u);
 }
 
 TEST_F(SmFixture, ObserveDeliversLoadedValue)
@@ -320,18 +310,18 @@ TEST_F(SmFixture, StallClassification)
          {WarpInstr::loadScalar(0x100), WarpInstr::compute(20),
           WarpInstr::exit()});
     tick(1); // issue the load -> active
-    EXPECT_EQ(statsGet("sm.active_cycles"), 1u);
+    EXPECT_EQ(stats.get("sm.active_cycles"), 1u);
     tick(10); // blocked on memory, nothing else to run
-    EXPECT_GE(statsGet("sm.mem_stall_cycles"), 9u);
+    EXPECT_GE(stats.get("sm.mem_stall_cycles"), 9u);
     l1.completeLoad();
     tick(2); // compute issues
-    std::uint64_t mem_stalls = statsGet("sm.mem_stall_cycles");
+    std::uint64_t mem_stalls = stats.get("sm.mem_stall_cycles");
     tick(10); // waiting on compute: compute stall, not memory
-    EXPECT_EQ(statsGet("sm.mem_stall_cycles"), mem_stalls);
-    EXPECT_GT(statsGet("sm.compute_stall_cycles"), 0u);
+    EXPECT_EQ(stats.get("sm.mem_stall_cycles"), mem_stalls);
+    EXPECT_GT(stats.get("sm.compute_stall_cycles"), 0u);
     tick(20);
     EXPECT_TRUE(sm->allWarpsDone());
-    EXPECT_GT(statsGet("sm.idle_cycles"), 0u);
+    EXPECT_GT(stats.get("sm.idle_cycles"), 0u);
 }
 
 TEST_F(SmFixture, MultiLineLoadWaitsForAllParts)
@@ -366,10 +356,10 @@ TEST_F(SmFixture, HorizonWaitComputeWakesAtReadyAtExactly)
     EXPECT_EQ(h, 11u);
     // Ticking strictly before the horizon neither issues nor
     // retires anything.
-    std::uint64_t instrs = statsGet("sm.instructions");
+    std::uint64_t instrs = stats.get("sm.instructions");
     while (now + 1 < h) {
         tick();
-        EXPECT_EQ(statsGet("sm.instructions"), instrs);
+        EXPECT_EQ(stats.get("sm.instructions"), instrs);
         EXPECT_EQ(sm->nextWorkCycle(now), h);
     }
     tick(2); // wake at 11, exit at 12
@@ -404,11 +394,11 @@ TEST_F(SmFixture, FastForwardStatsMatchesPerCycleClassification)
     make(Consistency::RC, {WarpInstr::compute(50), WarpInstr::exit()},
          1);
     tick(); // warp -> WaitCompute until cycle 51
-    std::uint64_t before = statsGet("sm.compute_stall_cycles");
-    std::uint64_t idle_before = statsGet("sm.idle_cycles");
+    std::uint64_t before = stats.get("sm.compute_stall_cycles");
+    std::uint64_t idle_before = stats.get("sm.idle_cycles");
     sm->fastForwardStats(7);
-    EXPECT_EQ(statsGet("sm.compute_stall_cycles"), before + 7);
-    EXPECT_EQ(statsGet("sm.idle_cycles"), idle_before);
+    EXPECT_EQ(stats.get("sm.compute_stall_cycles"), before + 7);
+    EXPECT_EQ(stats.get("sm.idle_cycles"), idle_before);
 }
 
 TEST_F(SmFixture, DoomedRetryIsChargedWithoutAskingTheL1)
@@ -425,7 +415,7 @@ TEST_F(SmFixture, DoomedRetryIsChargedWithoutAskingTheL1)
     EXPECT_EQ(l1.accessCalls, 1u) << "doomed retries never call access()";
     EXPECT_EQ(l1.tags, 6u);
     EXPECT_EQ(l1.rejects, 6u) << "charged once per cycle";
-    EXPECT_EQ(statsGet("sm.active_cycles"), 6u);
+    EXPECT_EQ(stats.get("sm.active_cycles"), 6u);
     EXPECT_EQ(sm->issueSlotsUsed(), 6u);
 
     // Once the generation moves the retry asks the L1 again.
@@ -510,7 +500,7 @@ TEST_F(SmFixture, GenerationMoveReArmsParkedSmAtCurrentCycle)
     ASSERT_EQ(wakes.size(), 1u);
     EXPECT_EQ(wakes[0], 6u);
     // Cycles 2-5 were charged as doomed retries before the move.
-    EXPECT_EQ(statsGet("sm.active_cycles"), 5u);
+    EXPECT_EQ(stats.get("sm.active_cycles"), 5u);
     EXPECT_EQ(l1.rejects, 5u);
     EXPECT_EQ(sm->nextWorkCycle(now - 1), now);
 
@@ -563,7 +553,7 @@ TEST_F(SmFixture, FastForwardOverParkedSpanMatchesTicking)
     auto snapshot = [&]() {
         std::vector<std::uint64_t> v;
         for (const char *n : names)
-            v.push_back(statsGet(n));
+            v.push_back(stats.get(n));
         v.push_back(sm->issueSlotsUsed());
         v.push_back(l1.tags);
         v.push_back(l1.rejects);
