@@ -27,6 +27,10 @@
  * (dlp_wb2); and MSHR-full rejects next to TSO store-buffer drains
  * (vpr_tso_mshr2).
  *
+ * cc_mesh runs cc on the 2D mesh (noc.topology=mesh), whose packets
+ * wait on a busy ejection port and re-wake the network every cycle
+ * until it frees; its stats carry the mesh-only noc.*.hops lines.
+ *
  * The small artifacts (stats, timeline) are stored verbatim under
  * tests/integration/goldens/ so a mismatch shows a readable diff;
  * the multi-megabyte ones (trace, transcript) are pinned by size +
@@ -159,6 +163,7 @@ const Cell kCells[] = {
      "l1.rejects_mshr_full"},
     {"tc_cc_oldest", "tc", "sc", "cc", {"gpu.scheduler=oldest"},
      "l1.rejects_mshr_full"},
+    {"cc_mesh", "gtsc", "rc", "cc", {"noc.topology=mesh"}},
 };
 
 const Cell &
@@ -262,6 +267,6 @@ INSTANTIATE_TEST_SUITE_P(Workloads, HotPathEquivalence,
                                            "nol1_cc", "cc_rr",
                                            "cc_oldest", "cc_fwdall",
                                            "dlp_wb2", "vpr_tso_mshr2",
-                                           "tc_cc_oldest"),
+                                           "tc_cc_oldest", "cc_mesh"),
                          [](const ::testing::TestParamInfo<std::string>
                                 &info) { return info.param; });
