@@ -350,7 +350,7 @@ BM_TimeWheelParkWake(benchmark::State &state)
     // Steady-state cost of the main loop's park/wake round trip
     // (DESIGN.md §7): one member re-arms a few cycles
     // out, pops due, repeat — the per-tick overhead every scheduled
-    // component pays. Stays on the preallocated bucket ring; the
+    // component pays. Stays in the slot array sized at reset; the
     // loop must never touch the allocator.
     sim::TimeWheel wheel(16);
     std::vector<std::uint32_t> due;

@@ -53,7 +53,7 @@ TEST(TimeWheel, MinMergeKeepsEarliestArm)
     w.arm(0, 30); // later is a no-op
     EXPECT_EQ(w.armedAt(0), 5u);
     EXPECT_EQ(pop(w, 5), (std::vector<std::uint32_t>{0}));
-    // The stale entries for 20 and 30 must not resurrect the id.
+    // The later arms at 20 and 30 must not resurrect the id.
     EXPECT_TRUE(pop(w, 40).empty());
 }
 
@@ -71,7 +71,7 @@ TEST(TimeWheel, WakeAtCurrentCycleDefersToNextPop)
 
 TEST(TimeWheel, ReArmWhileParkedAfterPop)
 {
-    TimeWheel w(3, 16);
+    TimeWheel w(3);
     w.arm(2, 4);
     EXPECT_EQ(pop(w, 4), (std::vector<std::uint32_t>{2}));
     w.arm(2, 9);
@@ -80,14 +80,14 @@ TEST(TimeWheel, ReArmWhileParkedAfterPop)
     EXPECT_EQ(pop(w, 9), (std::vector<std::uint32_t>{2}));
 }
 
-TEST(TimeWheel, BucketWrapAround)
+TEST(TimeWheel, ArmPopRoundsDisarmEveryPoppedId)
 {
-    TimeWheel w(4, 8); // ring of 8 buckets
-    // Repeated arm/pop cycles that lap the ring several times, with
-    // two ids sharing a bucket index across generations.
+    TimeWheel w(4);
+    // Many arm/pop rounds, each arming one id a few cycles ahead and
+    // id 3 further ahead, so ids pop while others stay armed.
     for (Cycle c = 1; c <= 40; ++c) {
-        w.arm(c % 4u, c + 3);      // near arm
-        w.arm(3, c + 11);          // next generation of same buckets
+        w.arm(c % 4u, c + 3);
+        w.arm(3, c + 11);
         auto due = pop(w, c);
         for (std::uint32_t id : due)
             EXPECT_EQ(w.armedAt(id), kCycleNever);
@@ -98,20 +98,20 @@ TEST(TimeWheel, BucketWrapAround)
     EXPECT_FALSE(rest.empty());
 }
 
-TEST(TimeWheel, SameBucketDifferentGenerations)
+TEST(TimeWheel, LaterArmWaitsForItsOwnCycle)
 {
-    TimeWheel w(4, 8);
+    TimeWheel w(4);
     EXPECT_TRUE(pop(w, 0).empty()); // frontier at 1
     w.arm(0, 3);
-    w.arm(1, 3 + 8); // overflow: lands in heap, same ring index
+    w.arm(1, 3 + 8);
     EXPECT_EQ(pop(w, 3), (std::vector<std::uint32_t>{0}));
     EXPECT_TRUE(pop(w, 10).empty());
     EXPECT_EQ(pop(w, 11), (std::vector<std::uint32_t>{1}));
 }
 
-TEST(TimeWheel, OverflowHeapFarArms)
+TEST(TimeWheel, FarArmsPopTogetherOnOneJump)
 {
-    TimeWheel w(5, 8);
+    TimeWheel w(5);
     w.arm(0, 1000);
     w.arm(1, 500);
     w.arm(2, 2);
@@ -123,24 +123,24 @@ TEST(TimeWheel, OverflowHeapFarArms)
     EXPECT_FALSE(w.anyArmed());
 }
 
-TEST(TimeWheel, HeapEntryGoesStaleWhenReArmedEarlier)
+TEST(TimeWheel, EarlierReArmReplacesTheLaterArm)
 {
-    TimeWheel w(2, 8);
-    w.arm(0, 900); // heap
-    w.arm(0, 3);   // ring, earlier — heap entry now stale
+    TimeWheel w(2);
+    w.arm(0, 900);
+    w.arm(0, 3); // earlier: the arm at 900 is gone
     EXPECT_EQ(pop(w, 3), (std::vector<std::uint32_t>{0}));
     EXPECT_TRUE(pop(w, 900).empty());
-    // Parked again: a fresh arm after staleness still works.
+    // Parked again: a fresh arm still works.
     w.arm(0, 950);
     EXPECT_EQ(pop(w, 950), (std::vector<std::uint32_t>{0}));
 }
 
-TEST(TimeWheel, LongJumpSweepsEachBucketOnce)
+TEST(TimeWheel, LongJumpPopsEveryIdAndMovesTheFrontier)
 {
-    TimeWheel w(6, 8);
+    TimeWheel w(6);
     for (std::uint32_t id = 0; id < 6; ++id)
         w.arm(id, 2 + id);
-    // Jump far beyond the ring span in one pop.
+    // Jump far beyond every arm in one pop.
     EXPECT_EQ(pop(w, 1 << 20),
               (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
     EXPECT_FALSE(w.anyArmed());
