@@ -18,10 +18,12 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
 
     builder_.prepare(cfg_, stats_, params_);
 
-    reqNet_ = noc::makeNetwork(params_.numSms, params_.numPartitions,
-                               true, cfg_, stats_, "noc.req");
-    respNet_ = noc::makeNetwork(params_.numPartitions, params_.numSms,
-                                false, cfg_, stats_, "noc.resp");
+    nets_[kReqNet] = noc::makeNetwork(params_.numSms,
+                                      params_.numPartitions, true, cfg_,
+                                      stats_, "noc.req");
+    nets_[kRespNet] = noc::makeNetwork(params_.numPartitions,
+                                       params_.numSms, false, cfg_,
+                                       stats_, "noc.resp");
 
     stagedReq_.resize(params_.numSms);
     storeValues_.reserve(params_.numSms);
@@ -35,7 +37,7 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
                                        stats_, events_, *drams_.back(),
                                        memory_, probe));
         l2s_.back()->setSend([this, p](mem::Packet &&pkt) {
-            respNet_->inject(p, pkt.src, std::move(pkt), cycle_);
+            nets_[kRespNet]->inject(p, pkt.src, std::move(pkt), cycle_);
         });
     }
 
@@ -56,17 +58,18 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
                                             storeValues_[s]));
     }
 
-    reqNet_->setDeliver([this](unsigned dst, mem::Packet &&pkt) {
+    nets_[kReqNet]->setDeliver([this](unsigned dst, mem::Packet &&pkt) {
         l2s_[dst]->receiveRequest(std::move(pkt), cycle_);
     });
-    respNet_->setDeliver([this](unsigned dst, mem::Packet &&pkt) {
+    nets_[kRespNet]->setDeliver([this](unsigned dst, mem::Packet &&pkt) {
         l1s_[dst]->receiveResponse(std::move(pkt), cycle_);
     });
 
     l2Wheel_.reset(params_.numPartitions);
+    netWheel_.reset(nets_.size());
     dramWheel_.reset(params_.numPartitions);
-    due_.reserve(
-        std::max<std::size_t>(params_.numSms, params_.numPartitions));
+    due_.reserve(std::max<std::size_t>(
+        {params_.numSms, params_.numPartitions, nets_.size()}));
     smWheel_.reset(params_.numSms);
     l1Wheel_.reset(params_.numSms);
     for (unsigned p = 0; p < params_.numPartitions; ++p) {
@@ -81,10 +84,8 @@ GpuSystem::GpuSystem(const sim::Config &cfg, ProtocolBuilder &builder,
         // callbacks (see Sm::accountThrough).
         sms_[s]->setSchedNow(&cycle_);
     }
-    reqNet_->setWakeHook(
-        [this](Cycle at) { reqWake_ = std::min(reqWake_, at); });
-    respNet_->setWakeHook(
-        [this](Cycle at) { respWake_ = std::min(respWake_, at); });
+    for (std::uint32_t n = 0; n < nets_.size(); ++n)
+        nets_[n]->setWakeHook([this, n](Cycle at) { netWheel_.arm(n, at); });
 
     // The networks registered their packet counters above; cache the
     // references so progressToken() avoids two string-hashed lookups
@@ -107,12 +108,13 @@ GpuSystem::attachObs(obs::Session &session)
             l2->attachTracer(*t);
         for (unsigned p = 0; p < drams_.size(); ++p)
             drams_[p]->attachTracer(*t, p);
-        reqNet_->attachTracer(*t);
-        respNet_->attachTracer(*t);
+        // Request track first: the goldens pin the track order.
+        nets_[kReqNet]->attachTracer(*t);
+        nets_[kRespNet]->attachTracer(*t);
     }
     if (obs::Transcript *tr = session.transcript()) {
-        reqNet_->attachTranscript(*tr, false);
-        respNet_->attachTranscript(*tr, true);
+        nets_[kReqNet]->attachTranscript(*tr, false);
+        nets_[kRespNet]->attachTranscript(*tr, true);
     }
 }
 
@@ -121,8 +123,10 @@ GpuSystem::quiescent() const
 {
     if (!events_.empty())
         return false;
-    if (!reqNet_->quiescent() || !respNet_->quiescent())
-        return false;
+    for (const auto &net : nets_) {
+        if (!net->quiescent())
+            return false;
+    }
     for (const auto &sm : sms_) {
         if (!sm->quiescent())
             return false;
@@ -156,15 +160,13 @@ Cycle
 GpuSystem::activeWorkHorizon() const
 {
     // No per-component nextWorkCycle() probing: every parked
-    // component already deposited its wake cycle in a wheel (or the
-    // scalar net wakes) when it parked, so the horizon is a handful
-    // of mins plus one slot scan per wheel. Exactness of
+    // component already deposited its wake cycle in a wheel when it
+    // parked, so the horizon is one slot scan per wheel. Exactness of
     // TimeWheel::nextWake() is what licenses the jump: no armed cycle
     // can lie inside the skipped span.
     Cycle next = events_.nextEventCycle();
-    next = std::min(next, respWake_);
-    next = std::min(next, reqWake_);
     next = std::min(next, l2Wheel_.nextWake());
+    next = std::min(next, netWheel_.nextWake());
     next = std::min(next, dramWheel_.nextWake());
     next = std::min(next, smWheel_.nextWake());
     next = std::min(next, l1Wheel_.nextWake());
@@ -186,8 +188,8 @@ GpuSystem::armActiveSet(Cycle at)
         l2Wheel_.arm(p, at);
         dramWheel_.arm(p, at);
     }
-    respWake_ = std::min(respWake_, at);
-    reqWake_ = std::min(reqWake_, at);
+    for (std::uint32_t n = 0; n < nets_.size(); ++n)
+        netWheel_.arm(n, at);
 }
 
 void
@@ -229,7 +231,7 @@ GpuSystem::flushStagedRequests()
     for (unsigned s = 0; s < params_.numSms; ++s) {
         auto &v = stagedReq_[s];
         for (mem::Packet &pkt : v)
-            reqNet_->inject(s, pkt.part, std::move(pkt), cycle_);
+            nets_[kReqNet]->inject(s, pkt.part, std::move(pkt), cycle_);
         v.clear();
     }
     stagedCount_ = 0;
@@ -258,12 +260,13 @@ GpuSystem::runLoop(unsigned kernel)
             GTSC_FATAL("simulation exceeded gpu.max_cycles=", maxCycles_,
                        " for workload ", workload_.name());
 
-        // Fixed phase order: events, L2s, response net, request net,
-        // L1s, SMs, staged-request flush, DRAM. Each family ticks only
-        // the ids its wheel popped, ascending. A wake that lands on
-        // the current cycle after its family's pop is clamped to the
-        // next cycle by the wheel, so a component always sees new
-        // work on the first of its phases after the work arrived.
+        // Fixed phase order: events, L2s, networks (response, then
+        // request), L1s, SMs, staged-request flush, DRAM. Each family
+        // ticks only the ids its wheel popped, ascending. A wake that
+        // lands on the current cycle after its family's pop is
+        // clamped to the next cycle by the wheel, so a component
+        // always sees new work on the first of its phases after the
+        // work arrived.
         std::size_t nDue = 0;
         events_.runUntil(cycle_);
         l2Wheel_.popDue(cycle_, due_);
@@ -273,22 +276,13 @@ GpuSystem::runLoop(unsigned kernel)
         }
         l2TickCount_ += due_.size();
         nDue += due_.size();
-        if (respWake_ <= cycle_) {
-            respWake_ = kCycleNever;
-            respNet_->tick(cycle_);
-            respWake_ = std::min(respWake_,
-                                 respNet_->nextWorkCycle(cycle_));
-            ++nocTickCount_;
-            ++nDue;
+        netWheel_.popDue(cycle_, due_);
+        for (unsigned n : due_) {
+            nets_[n]->tick(cycle_);
+            netWheel_.arm(n, nets_[n]->nextWorkCycle(cycle_));
         }
-        if (reqWake_ <= cycle_) {
-            reqWake_ = kCycleNever;
-            reqNet_->tick(cycle_);
-            reqWake_ = std::min(reqWake_,
-                                reqNet_->nextWorkCycle(cycle_));
-            ++nocTickCount_;
-            ++nDue;
-        }
+        nocTickCount_ += due_.size();
+        nDue += due_.size();
         l1Wheel_.popDue(cycle_, due_);
         for (unsigned s : due_) {
             l1s_[s]->tick(cycle_);

@@ -9,6 +9,7 @@
 #ifndef GTSC_GPU_GPU_SYSTEM_HH_
 #define GTSC_GPU_GPU_SYSTEM_HH_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -114,9 +115,9 @@ class GpuSystem
     /** Arm every component at `at` (loop entry: nothing is parked
      * yet; idle components park themselves on their first tick). */
     void armActiveSet(Cycle at);
-    /** Earliest armed/queued work across all wheels, scalar net
-     * wakes and event queues; > cycle_. Exact (wheels track the min
-     * over their slots), so jumping to it never skips armed work. */
+    /** Earliest armed/queued work across all wheels and the event
+     * queue; > cycle_. Exact (wheels track the min over their
+     * slots), so jumping to it never skips armed work. */
     Cycle activeWorkHorizon() const;
     /** Catch every SM's deferred idle accounting up to `upto`
      * (parked SMs lag; see Sm::accountThrough). */
@@ -144,8 +145,10 @@ class GpuSystem
     std::vector<std::unique_ptr<Sm>> sms_;
     /** Launch scratch, reused across SMs and kernels (runKernel). */
     std::vector<std::unique_ptr<WarpProgram>> programScratch_;
-    std::unique_ptr<noc::Network> reqNet_;
-    std::unique_ptr<noc::Network> respNet_;
+    /** The network family, ticked in id order: responses before
+     * requests. */
+    static constexpr std::uint32_t kRespNet = 0, kReqNet = 1;
+    std::array<std::unique_ptr<noc::Network>, 2> nets_;
 
     /**
      * Per-SM request packets sent by L1s, staged until the end of
@@ -165,12 +168,8 @@ class GpuSystem
 
     // --- active-set scheduling state ---
     sim::TimeWheel smWheel_, l1Wheel_;
-    sim::TimeWheel l2Wheel_, dramWheel_;
+    sim::TimeWheel l2Wheel_, netWheel_, dramWheel_;
     std::vector<std::uint32_t> due_; ///< popDue scratch
-    /** Scalar wake cycles for the two networks (single component
-     * each): min-merged by the wake hook, kCycleNever when parked. */
-    Cycle reqWake_ = kCycleNever;
-    Cycle respWake_ = kCycleNever;
     /** Activity counters (see activity()). */
     std::uint64_t smTickCount_ = 0;
     std::uint64_t l1TickCount_ = 0;
