@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -141,9 +142,16 @@ parseUint(const char *s, std::uint64_t *out)
 bool
 parseDouble(const char *s, double *out)
 {
+    // strtod skips leading space, reads "nan" and "inf", and stores
+    // what is out of range (ERANGE) as inf or 0; no knob can use any
+    // of them.
+    if (std::isspace(static_cast<unsigned char>(*s)))
+        return false;
+    errno = 0;
     char *end = nullptr;
     *out = std::strtod(s, &end);
-    return end != s && *end == '\0';
+    return end != s && *end == '\0' && errno != ERANGE &&
+           std::isfinite(*out);
 }
 
 bool

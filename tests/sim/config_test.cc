@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -126,6 +127,29 @@ TEST(Config, MalformedValuesAreFatal)
     EXPECT_THROW(cfg.set("gpu.num_sms", "4k"), std::runtime_error);
     EXPECT_EQ(cfg.getUint("gpu.num_sms"), 4u);
     EXPECT_FALSE(cfg.has("wl.scale"));
+}
+
+TEST(Config, DoubleKnobsRefuseTextTheyCannotUse)
+{
+    // strtod alone takes each of these: nan and inf, values out of
+    // range (ERANGE, stored as inf or 0) and a leading space.
+    for (const char *bad : {"nan", "-nan", "inf", "-inf", "infinity",
+                            "1e400", "-1e400", "1e-400", " 2", "\t2"}) {
+        Config cfg;
+        EXPECT_NE(errorOf([&] { cfg.set("wl.scale", bad); })
+                      .find("config key 'wl.scale' is not a number"),
+                  std::string::npos)
+            << bad;
+        EXPECT_FALSE(cfg.has("wl.scale")) << bad;
+    }
+    Config cfg;
+    for (const char *good : {"2", "-3", "0.5", "1e300", "0x1p3"})
+        EXPECT_NO_THROW(cfg.set("energy.noc_byte_pj", good)) << good;
+    EXPECT_DOUBLE_EQ(cfg.getDouble("energy.noc_byte_pj"), 8.0);
+    // setDouble spells a non-finite value as text set() refuses.
+    EXPECT_THROW(cfg.setDouble("wl.scale", std::nan("")),
+                 std::runtime_error);
+    EXPECT_THROW(cfg.setDouble("wl.scale", HUGE_VAL), std::runtime_error);
 }
 
 TEST(Config, SignedOrOutOfRangeUnsignedValuesAreFatal)

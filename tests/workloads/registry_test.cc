@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "workloads/common.hh"
 
@@ -38,7 +39,54 @@ drain(gpu::WarpProgram &prog, unsigned limit = 100000)
     return out;
 }
 
+/** The message of the exception `fn` throws, or "" when none. */
+template <typename Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
 } // namespace
+
+TEST(WlParams, ScaleMustBeGreaterThanZero)
+{
+    for (const char *scale : {"0", "-0", "-1", "-0.5"}) {
+        sim::Config cfg;
+        cfg.set("wl.scale", scale);
+        EXPECT_NE(errorOf([&] { workloads::WlParams::fromConfig(cfg); })
+                      .find("config key 'wl.scale' is "),
+                  std::string::npos)
+            << scale;
+        EXPECT_THROW(workloads::makeWorkload("cc", cfg), std::runtime_error)
+            << scale;
+    }
+}
+
+TEST(WlParams, ScaledCountMustFitAnUnsigned)
+{
+    sim::Config cfg;
+    cfg.set("wl.scale", "0.5");
+    workloads::WlParams p = workloads::WlParams::fromConfig(cfg);
+    EXPECT_EQ(p.iters(24), 12u);
+    EXPECT_EQ(p.iters(1), 1u);
+    p.scale = 4294967295.0;
+    EXPECT_EQ(p.iters(1), 4294967295u);
+    p.scale = 4294967296.0;
+    EXPECT_NE(errorOf([&] { p.iters(1); })
+                  .find("config key 'wl.scale' is 4.29497e+09: it scales 1 "
+                        "iterations to 4.29497e+09, more than 4294967295"),
+              std::string::npos);
+    // A workload builds its programs from the scaled counts.
+    cfg.set("wl.scale", "1e300");
+    auto wl = workloads::makeWorkload("cc", cfg);
+    EXPECT_THROW(wl->makeProgram(0, 0, 0, smallGpu()), std::runtime_error);
+}
 
 TEST(Registry, AllTwelveBenchmarksExist)
 {
