@@ -1,7 +1,7 @@
 /**
  * @file
- * ArrivalRing — a dense in-flight ring indexed by due cycle (the
- * TimeWheel shape applied to NoC packet arrivals).
+ * ArrivalRing — a dense ring of in-flight NoC packets, indexed by
+ * their arrival cycle.
  *
  * Each in-flight entry is bucketed by its absolute arrival cycle,
  * `arrive & (span-1)`, under the **pure bucket** invariant: an entry

@@ -2,10 +2,11 @@
  * @file
  * A deterministic discrete-event queue.
  *
- * Most of the simulator is cycle-driven (components are ticked every
- * cycle), but latency-shaped completions (DRAM service, timed
- * callbacks in tests) use this queue. Events scheduled for the same
- * cycle fire in insertion order, which keeps runs bit-reproducible.
+ * Components tick only on cycles where they have work (the main
+ * loop's wake wheels, DESIGN.md §7); latency-shaped completions are
+ * events here instead: L1 load completions, L2 access latency and
+ * DRAM service. Events scheduled for the same cycle fire in
+ * insertion order, which keeps runs bit-reproducible.
  */
 
 #ifndef GTSC_SIM_EVENT_QUEUE_HH_
