@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 using namespace gtsc;
 
 namespace
 {
+
+/** (packet id, cycle) of each ejection, in ejection order. */
+using Ejections = std::vector<std::pair<std::uint64_t, Cycle>>;
 
 struct XbarFixture : public ::testing::Test
 {
@@ -23,6 +27,41 @@ struct XbarFixture : public ::testing::Test
         p.sizeBytes = size;
         p.reqId = id;
         return p;
+    }
+
+    /** One injection: at `cycle`, source `src`, `size` bytes, id. */
+    struct Inject
+    {
+        Cycle cycle;
+        unsigned src;
+        std::uint32_t size;
+        std::uint64_t id;
+    };
+
+    /**
+     * Drive a crossbar with every packet bound for port 0, ticking
+     * every cycle up to `last` (each cycle's injections first), and
+     * return its ejections.
+     */
+    Ejections
+    ejections(noc::Crossbar &x, const std::vector<Inject> &plan,
+              Cycle last)
+    {
+        Ejections got;
+        Cycle cur = 0;
+        x.setDeliver([&](unsigned dst, mem::Packet &&p) {
+            EXPECT_EQ(dst, 0u);
+            got.emplace_back(p.reqId, cur);
+        });
+        for (cur = 0; cur <= last; ++cur) {
+            for (const Inject &i : plan) {
+                if (i.cycle == cur)
+                    x.inject(i.src, 0, packet(i.size, i.id), cur);
+            }
+            x.tick(cur);
+        }
+        EXPECT_TRUE(x.quiescent());
+        return got;
     }
 };
 
@@ -149,4 +188,64 @@ TEST_F(XbarFixture, HorizonIsConservativeAndExact)
     x.tick(h);
     EXPECT_EQ(got.size(), 1u);
     EXPECT_EQ(x.nextWorkCycle(h), kCycleNever);
+}
+
+TEST_F(XbarFixture, SameCycleArrivalsLeaveInInjectionOrder)
+{
+    noc::Crossbar x(2, 1, cfg, stats, "noc.t");
+    // Both arrive at 0 + 1 (tx) + 12 (hop) = 13. Source 1 injected
+    // first, so it ejects first; the port then serializes the other.
+    Ejections got = ejections(x, {{0, 1, 8, 1}, {0, 0, 8, 2}}, 40);
+    EXPECT_EQ(got, (Ejections{{1, 13}, {2, 14}}));
+}
+
+TEST_F(XbarFixture, BackloggedEarlierPacketLeavesByArrival)
+{
+    noc::Crossbar x(3, 1, cfg, stats, "noc.t");
+    // Source 0: a 128B packet (4 tx cycles, arrives 16), then an 8B
+    // packet queued behind it (starts at 4, arrives 17). Source 1's
+    // packet, injected later at cycle 2, arrives first (15). Source
+    // 2's, injected at 4, also arrives at 17 and leaves after source
+    // 0's second packet, which was injected before it. The 128B
+    // packet holds the port until 20.
+    Ejections got = ejections(
+        x, {{0, 0, 128, 1}, {0, 0, 8, 2}, {2, 1, 8, 3}, {4, 2, 8, 4}},
+        40);
+    EXPECT_EQ(got, (Ejections{{3, 15}, {1, 16}, {2, 20}, {4, 21}}));
+}
+
+TEST_F(XbarFixture, ArrivalsPastTheRingWindowKeepTheirOrder)
+{
+    // At one byte per cycle a 2 KB packet takes 2048 cycles to
+    // serialize, so it lands more than kArrivalRingSpan cycles out
+    // and waits on the ring's overflow list.
+    cfg.setInt("noc.bytes_per_cycle", 1);
+    {
+        // Two 2 KB packets land on cycle 2060; an 8B one (1000 + 8 +
+        // 12 = 1020) sweeps the ring before they are in its window,
+        // so they leave the overflow list straight from the drain.
+        noc::Crossbar x(3, 1, cfg, stats, "noc.a");
+        Ejections got = ejections(
+            x, {{0, 1, 2048, 1}, {0, 0, 2048, 2}, {1000, 2, 8, 3}},
+            4200);
+        EXPECT_EQ(got, (Ejections{{3, 1020}, {1, 2060}, {2, 4108}}));
+    }
+    {
+        // A sweep at 1500 moves them into the ring's window; then a
+        // packet injected at 2040 lands on 2060 too and leaves after
+        // both.
+        noc::Crossbar x(4, 1, cfg, stats, "noc.b");
+        Ejections got = ejections(x,
+                                  {{0, 1, 2048, 1},
+                                   {0, 0, 2048, 2},
+                                   {1000, 2, 8, 3},
+                                   {1480, 2, 8, 4},
+                                   {2040, 3, 8, 5}},
+                                  6200);
+        EXPECT_EQ(got, (Ejections{{3, 1020},
+                                  {4, 1500},
+                                  {1, 2060},
+                                  {2, 4108},
+                                  {5, 6156}}));
+    }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "noc/network.hh"
 
@@ -127,6 +129,36 @@ TEST_F(MeshFixture, BusyEjectionPortDoesNotBlockOthers)
     ASSERT_EQ(order.size(), 3u);
     // dst 1's packet is not stuck behind dst 0's port contention.
     EXPECT_NE(order[2], 1u);
+}
+
+TEST_F(MeshFixture, DeferredPacketCompetesWithNewArrivalsOnInjectionOrder)
+{
+    cfg.setInt("noc.mesh_hop_latency", 1);
+    noc::Mesh m(8, 4, true, cfg, stats, "noc.t");
+    // (id, dst, cycle) of each delivery, in delivery order.
+    std::vector<std::tuple<std::uint64_t, unsigned, Cycle>> got;
+    Cycle cur = 0;
+    m.setDeliver([&](unsigned dst, mem::Packet &&p) {
+        got.emplace_back(p.reqId, dst, cur);
+    });
+    // 4x3 grid, hop latency 1, 32 B per cycle per link.
+    // 1: SM4 -> partition 0, 128B: one hop, arrives 5 and holds the
+    //    port until 9.
+    // 2: SM0 -> partition 1, 64B: three hops, arrives 9.
+    // 3: SM0 -> partition 0, 8B: waits for packet 1 on the last
+    //    link, arrives 6 and is deferred by the busy port to 9.
+    // 4: SM1 -> partition 2, 64B: three hops, arrives 9.
+    m.inject(4, 0, packet(128, 1), 0);
+    m.inject(0, 1, packet(64, 2), 0);
+    m.inject(0, 0, packet(8, 3), 0);
+    m.inject(1, 2, packet(64, 4), 0);
+    for (cur = 1; cur <= 20; ++cur)
+        m.tick(cur);
+    // At 9 the deferred packet 3 leaves between packets 2 and 4, in
+    // injection order: neither before nor after both new arrivals.
+    using Got = std::vector<std::tuple<std::uint64_t, unsigned, Cycle>>;
+    EXPECT_EQ(got, (Got{{1, 0, 5}, {2, 1, 9}, {3, 0, 9}, {4, 2, 9}}));
+    EXPECT_TRUE(m.quiescent());
 }
 
 TEST_F(MeshFixture, HorizonNeverWhenEmpty)
