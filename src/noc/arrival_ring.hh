@@ -1,7 +1,10 @@
 /**
  * @file
  * ArrivalRing — a dense ring of in-flight NoC packets, indexed by
- * their arrival cycle.
+ * their arrival cycle. The crossbar is its only user. The mesh keeps
+ * a heap: a packet its busy ejection port defers re-enters at the
+ * next cycle ahead of later-injected arrivals there, and a bucket
+ * holds push order, not injection order.
  *
  * Each in-flight entry is bucketed by its absolute arrival cycle,
  * `arrive & (span-1)`, under the **pure bucket** invariant: an entry
@@ -41,8 +44,8 @@ namespace gtsc::noc
 {
 
 /**
- * Default window span. Arrival lag is injection backlog + tx + hop
- * latency, normally well under a hundred cycles; 1024 keeps even
+ * The crossbar's window span. Arrival lag is injection backlog + tx +
+ * hop latency, normally well under a hundred cycles; 1024 keeps even
  * heavily backlogged sources in-window, and anything beyond takes
  * the (correct, slower) overflow path.
  */

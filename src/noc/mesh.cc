@@ -30,13 +30,6 @@ Mesh::Mesh(unsigned num_src, unsigned num_dst, bool src_are_sms,
 
     dstFree_.assign(numDst_, 0);
     linkFree_.assign(static_cast<std::size_t>(width_) * height_ * 4, 0);
-    // Unlike the crossbar there is no per-source one-arrival-per-
-    // cycle bound (routes of different lengths can land together),
-    // so the reservation is a heuristic; buckets grow if exceeded.
-    ring_.init(kArrivalRingSpan, numSrc_);
-    waiting_.reserve(16);
-    nextWaiting_.reserve(16);
-    dueBuf_.reserve(16);
     bytesTotal_ = &stats_.counter(name_ + ".bytes");
     packetsTotal_ = &stats_.counter(name_ + ".packets");
     for (unsigned t = 0; t < mem::kNumMsgTypes; ++t) {
@@ -145,73 +138,38 @@ Mesh::inject(unsigned src, unsigned dst, mem::Packet &&pkt, Cycle now)
         recordNocEvent(*trace_, track_, obs::EventKind::NocInject, pkt,
                        src, dst, now, pkt.sizeBytes);
     }
-    ++inFlight_;
     std::uint32_t slot = pool_.acquire();
     pool_[slot] = std::move(pkt);
-    ring_.push(now, t, InFlight{seq_++, slot, dst});
-    wake(waiting_.empty() ? ring_.nextArrival() : now + 1);
+    heap_.push(InFlight{t, seq_++, slot, dst});
+    wake(nextWorkCycle(now));
 }
 
 Cycle
 Mesh::nextWorkCycle(Cycle now) const
 {
     // Arrival times are final at inject; a packet that finds its
-    // ejection port busy waits in waiting_ and retries every cycle,
-    // which keeps this horizon exact during port back-pressure.
-    if (inFlight_ == 0)
+    // ejection port busy is re-queued at the next cycle, which keeps
+    // this horizon exact during port back-pressure.
+    if (heap_.empty())
         return kCycleNever;
-    if (!waiting_.empty())
-        return now + 1;
-    return std::max(ring_.nextArrival(), now + 1);
+    return std::max(heap_.top().arrive, now + 1);
 }
 
 void
 Mesh::tick(Cycle now)
 {
-    // Deliver every arrived packet whose ejection port is free; a
-    // busy port only defers its own packets (retried next cycle),
-    // not other destinations'.
-    if (inFlight_ == 0)
-        return;
-    if (waiting_.empty() && ring_.nextArrival() > now)
-        return;
-
-    // Newly due arrivals, in (arrive, seq) order. While anything
-    // waits the horizon pins to now+1, so drains are never late and
-    // this buffer is seq-sorted whenever waiting_ is non-empty (all
-    // due entries share one arrival cycle).
-    dueBuf_.clear();
-    ring_.drainDue(now, [&](Cycle, const InFlight &e) {
-        dueBuf_.push_back(e);
-    });
-
-    // Merge deferred and newly due candidates in global injection
-    // order — same-cycle candidates compete purely on seq, exactly
-    // like the old priority queue after its arrive-rewriting
-    // deferral.
-    nextWaiting_.clear();
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < waiting_.size() || j < dueBuf_.size()) {
-        bool take_waiting =
-            j >= dueBuf_.size() ||
-            (i < waiting_.size() && waiting_[i].seq < dueBuf_[j].seq);
-        InFlight item = take_waiting ? waiting_[i++] : dueBuf_[j++];
+    // Deliver every arrived packet whose ejection port is free, in
+    // (arrive, seq) order; a busy port only defers its own packets
+    // (re-queued at now + 1), not other destinations'. Deliveries
+    // that re-inject land after now, so this drain never sees them.
+    while (!heap_.empty() && heap_.top().arrive <= now) {
+        InFlight item = heap_.top();
+        heap_.pop();
         if (dstFree_[item.dst] > now) {
-            // Keep nextWaiting_ seq-sorted. Candidates already come
-            // in seq order on every reachable path (see above), so
-            // the insertion scan terminates immediately; it exists
-            // for the defensive multi-cycle-drain case only.
-            std::size_t pos = nextWaiting_.size();
-            nextWaiting_.push_back(item);
-            while (pos > 0 &&
-                   nextWaiting_[pos - 1].seq > nextWaiting_[pos].seq) {
-                std::swap(nextWaiting_[pos - 1], nextWaiting_[pos]);
-                --pos;
-            }
+            item.arrive = now + 1;
+            heap_.push(item);
             continue;
         }
-        --inFlight_;
         mem::Packet pkt = std::move(pool_[item.slot]);
         pool_.release(item.slot);
         dstFree_[item.dst] = now + txCycles(pkt.sizeBytes);
@@ -227,7 +185,6 @@ Mesh::tick(Cycle now)
         }
         deliver_(item.dst, std::move(pkt));
     }
-    waiting_.swap(nextWaiting_);
 }
 
 std::unique_ptr<Network>

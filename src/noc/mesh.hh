@@ -14,9 +14,10 @@
 #ifndef GTSC_NOC_MESH_HH_
 #define GTSC_NOC_MESH_HH_
 
+#include <functional>
+#include <queue>
 #include <vector>
 
-#include "noc/arrival_ring.hh"
 #include "noc/network.hh"
 #include "sim/slot_pool.hh"
 
@@ -42,7 +43,7 @@ class Mesh final : public Network
     void tick(Cycle now) override;
     Cycle nextWorkCycle(Cycle now) const override;
 
-    bool quiescent() const override { return inFlight_ == 0; }
+    bool quiescent() const override { return heap_.empty(); }
 
     /** Grid geometry (tests). */
     unsigned gridWidth() const { return width_; }
@@ -54,18 +55,23 @@ class Mesh final : public Network
 
   private:
     /**
-     * Ring/waiting entry: packet-pool slot plus its ordering key.
-     * Unlike the crossbar, the sequence number is kept: a packet
-     * deferred by a busy ejection port must merge with newly due
-     * arrivals in global injection order (the old priority queue's
-     * (arrive, seq) order, where deferral rewrote arrive to the next
-     * cycle — so same-cycle candidates compete purely on seq).
+     * Heap entry: packet-pool slot and destination plus the ordering
+     * key. A packet whose ejection port is busy is re-queued at the
+     * next cycle with its seq, so it competes with that cycle's
+     * arrivals purely on injection order.
      */
     struct InFlight
     {
+        Cycle arrive;
         std::uint64_t seq;
         std::uint32_t slot;
         std::uint32_t dst;
+
+        bool
+        operator>(const InFlight &o) const
+        {
+            return arrive != o.arrive ? arrive > o.arrive : seq > o.seq;
+        }
     };
 
     /** Grid node id of a source/destination port. */
@@ -107,25 +113,16 @@ class Mesh final : public Network
 
     /** Busy-until cycle per directed link, indexed by linkIndex(). */
     std::vector<Cycle> linkFree_;
-    /** Not-yet-arrived packets, dense ring indexed by the arrival
-     *  cycle finalized at inject (route and link serialization are
-     *  resolved there). Bucket order is injection order, so a drain
-     *  yields candidates already seq-sorted per cycle. */
-    ArrivalRing<InFlight> ring_;
-    /** Arrived packets deferred by a busy ejection port, seq-sorted.
-     *  While non-empty the horizon pins to now+1, exactly like the
-     *  old re-queue at arrive = now+1. */
-    std::vector<InFlight> waiting_;
-    /** Next tick's waiting_ (swap buffers; capacity persists). */
-    std::vector<InFlight> nextWaiting_;
-    /** Per-tick scratch for newly due arrivals (capacity persists). */
-    std::vector<InFlight> dueBuf_;
+    /** In-flight packets, earliest (arrive, seq) on top. The arrival
+     *  cycle is final at inject (route and link serialization are
+     *  resolved there). */
+    std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>>
+        heap_;
     /** In-flight packet payloads, indexed by InFlight::slot. */
     sim::SlotPool<mem::Packet> pool_;
     std::vector<Cycle> dstFree_;
     DeliverFn deliver_;
     std::uint64_t seq_ = 0;
-    std::uint64_t inFlight_ = 0;
 
     std::uint64_t *bytesTotal_;
     std::uint64_t *packetsTotal_;

@@ -76,18 +76,6 @@ class BitMask
     unsigned numWords() const { return static_cast<unsigned>(words_.size()); }
     std::uint64_t word(unsigned k) const { return words_[k]; }
 
-    /** Lowest set member, kNpos when empty (the "oldest" picker). */
-    unsigned
-    findFirst() const
-    {
-        for (unsigned k = 0; k < words_.size(); ++k) {
-            if (words_[k])
-                return k * 64u +
-                       static_cast<unsigned>(std::countr_zero(words_[k]));
-        }
-        return kNpos;
-    }
-
     /**
      * First set member at or after `start`, wrapping past the end
      * (the round-robin picker: pass lastIssued+1). kNpos when empty.
