@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "sim/log.hh"
 
@@ -233,9 +233,11 @@ Config::setInt(const std::string &key, std::int64_t value)
 void
 Config::setDouble(const std::string &key, double value)
 {
-    std::ostringstream oss;
-    oss << value;
-    set(key, oss.str());
+    // Shortest text that reads back as the same double; a stream
+    // would round it to six significant digits.
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    set(key, std::string(buf, res.ptr));
 }
 
 void

@@ -94,6 +94,22 @@ TEST(Config, FallbackGetterReturnsTheSetText)
     EXPECT_EQ(cfg.getString("wl.scale", "-"), "4");
 }
 
+TEST(Config, SetDoubleRoundTrips)
+{
+    // The stored text reads back as the very double that was set,
+    // in the shortest spelling that does.
+    for (double v : {1.0 / 3, 123456789.0, 0.1, 2.0 / 3 * 1e-7, 1e300}) {
+        Config cfg;
+        cfg.setDouble("energy.noc_byte_pj", v);
+        EXPECT_EQ(cfg.getDouble("energy.noc_byte_pj"), v) << v;
+    }
+    Config cfg;
+    cfg.setDouble("energy.noc_byte_pj", 123456789.0);
+    EXPECT_EQ(cfg.getString("energy.noc_byte_pj", "-"), "123456789");
+    cfg.setDouble("energy.noc_byte_pj", 0.25);
+    EXPECT_EQ(cfg.getString("energy.noc_byte_pj", "-"), "0.25");
+}
+
 TEST(Config, BoolParsesCommonSpellings)
 {
     for (const char *t : {"true", "1", "yes", "on"}) {
