@@ -47,6 +47,7 @@
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "sim/config.hh"
+#include "sim/text.hh"
 #include "verify/explorer.hh"
 #include "verify/litmus_gen.hh"
 
@@ -54,24 +55,6 @@ using namespace gtsc;
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s)
-    {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n')
-        {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
 
 int
 usage()
@@ -132,11 +115,11 @@ runExplore(const sim::Config &cfg, const std::string &outPath)
             oss << (i ? "," : "") << "\n    {\"actions\": [";
             for (std::size_t a = 0; a < w.actions.size(); ++a)
                 oss << (a ? ", " : "") << "\""
-                    << jsonEscape(w.actions[a].describe()) << "\"";
+                    << sim::jsonEscape(w.actions[a].describe()) << "\"";
             oss << "], \"violations\": [";
             for (std::size_t v = 0; v < w.violations.size(); ++v)
                 oss << (v ? ", " : "") << "\""
-                    << jsonEscape(w.violations[v]) << "\"";
+                    << sim::jsonEscape(w.violations[v]) << "\"";
             oss << "]}";
         }
         oss << (result.witnesses.empty() ? "" : "\n  ") << "]\n}\n";
@@ -173,7 +156,7 @@ runLitmusBatchMode(const sim::Config &base, std::uint64_t seed,
             oss << (i ? "," : "") << "\n    {\"seed\": " << f.seed
                 << ", \"cell\": \"" << f.protocol << "/"
                 << f.consistency << "\", \"spec\": \""
-                << jsonEscape(f.spec.format()) << "\"}";
+                << sim::jsonEscape(f.spec.format()) << "\"}";
         }
         oss << (result.failures.empty() ? "" : "\n  ") << "]\n}\n";
         std::ofstream f(outPath);
