@@ -12,7 +12,7 @@
  *
  * The hot-path contract: components hold a raw `Tracer *` that is
  * nullptr when tracing is off, so the disabled cost is a single
- * predictable branch (proven in bench/micro_protocol_ops.cc).
+ * predictable null test per would-be event.
  */
 
 #ifndef GTSC_OBS_TRACER_HH_

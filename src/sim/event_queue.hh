@@ -29,10 +29,10 @@ namespace gtsc::sim
  *
  * Protocol completions capture `this` plus a handful of words;
  * std::function's tiny internal buffer spills most of them to the
- * heap, and the allocator showed up in the event-scheduling
- * microbench (bench/micro_protocol_ops.cc). Now an alias for the
- * generalized SmallFunction (sim/small_function.hh), which the NoC
- * and cache-controller callbacks use with their own signatures.
+ * heap, and the allocator showed up in event scheduling. Now an
+ * alias for the generalized SmallFunction (sim/small_function.hh),
+ * which the NoC and cache-controller callbacks use with their own
+ * signatures.
  */
 using SmallCallback = SmallFunction<void()>;
 
