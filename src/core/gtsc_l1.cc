@@ -138,12 +138,9 @@ GtscL1::captureVerifyState()
             s.pendingStores.push_back({id, ps.access, ps.baseWts,
                                        ps.hadBlock});
         });
-    std::sort(s.pendingStores.begin(), s.pendingStores.end(),
-              [](const auto &a, const auto &b) { return a.id < b.id; });
     storeByLine_.forEach([&s](Addr line, std::uint64_t id) {
         s.storeByLine.emplace_back(line, id);
     });
-    std::sort(s.storeByLine.begin(), s.storeByLine.end());
     mshr_.forEach([&s](const mem::MshrEntry &e) {
         L1VerifyState::MshrEntryState m;
         m.lineAddr = e.lineAddr;
@@ -154,10 +151,6 @@ GtscL1::captureVerifyState()
         m.waiters = e.waiters;
         s.mshr.push_back(std::move(m));
     });
-    std::sort(s.mshr.begin(), s.mshr.end(),
-              [](const auto &a, const auto &b) {
-                  return a.lineAddr < b.lineAddr;
-              });
     for (std::size_t i = 0; i < replayQueue_.size(); ++i)
         s.replayQueue.push_back(replayQueue_[i]);
     return s;
@@ -179,15 +172,11 @@ GtscL1::restoreVerifyState(const L1VerifyState &s)
     warpTs_ = s.warpTs;
     epoch_ = s.epoch;
     pendingStores_.clear();
-    for (const auto &ps : s.pendingStores) {
-        PendingStore &p = pendingStores_[ps.id];
-        p.access = ps.access;
-        p.baseWts = ps.baseWts;
-        p.hadBlock = ps.hadBlock;
-    }
+    for (const auto &ps : s.pendingStores)
+        pendingStores_.emplace(ps.id) = {ps.access, ps.baseWts, ps.hadBlock};
     storeByLine_.clear();
     for (const auto &[line, id] : s.storeByLine)
-        storeByLine_[line] = id;
+        storeByLine_.emplace(line) = id;
     mshr_.clear();
     for (const auto &m : s.mshr) {
         mem::MshrEntry *e = mshr_.alloc(m.lineAddr);
@@ -357,8 +346,8 @@ GtscL1::handleStore(const mem::Access &acc, mem::CacheBlock *blk,
         ps.baseWts = blk->meta.wts;
         ++(*dataWrites_);
     }
-    storeByLine_[acc.lineAddr] = acc.id;
-    pendingStores_[acc.id] = ps;
+    storeByLine_.emplace(acc.lineAddr) = acc.id;
+    pendingStores_.emplace(acc.id) = ps;
 
     mem::Packet pkt;
     pkt.type = mem::MsgType::BusWr;
@@ -427,12 +416,11 @@ GtscL1::completeLoadHit(const mem::Access &acc,
     std::uint32_t slot = loadReplies_.acquire();
     LoadReply &rec = loadReplies_[slot];
     rec.acc = acc;
+    rec.res = {.data = array_.dataOf(blk),
+               .l1Hit = true,
+               .loadTs = load_ts,
+               .epoch = epoch_};
     mem::AccessResult &res = rec.res;
-    res.data = array_.dataOf(blk);
-    res.l1Hit = true;
-    res.loadTs = load_ts;
-    res.epoch = epoch_;
-    res.leaseGrant = 0; // recycled slot: reset every field
 
     std::uint32_t forwarded_mask = 0;
     if (forward) {
@@ -471,12 +459,8 @@ GtscL1::completeLoadFromPacket(const mem::Access &acc,
     std::uint32_t slot = loadReplies_.acquire();
     LoadReply &rec = loadReplies_[slot];
     rec.acc = acc;
+    rec.res = {.data = pkt.data, .loadTs = load_ts, .epoch = epoch_};
     mem::AccessResult &res = rec.res;
-    res.data = pkt.data;
-    res.l1Hit = false;
-    res.loadTs = load_ts;
-    res.epoch = epoch_;
-    res.leaseGrant = 0; // recycled slot: reset every field
 
     if (probe_) {
         for (unsigned w = 0; w < mem::kWordsPerLine; ++w) {

@@ -31,7 +31,6 @@
 #include "mem/mshr.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/slot_pool.hh"
 #include "sim/stats.hh"
@@ -166,23 +165,15 @@ class GtscL1 final : public mem::L1Controller
     std::uint32_t epoch_ = 0;
 
     /** In-flight stores keyed by request id. */
-    sim::SmallFlatMap<std::uint64_t, PendingStore> pendingStores_;
+    sim::PooledKeyMap<std::uint64_t, PendingStore> pendingStores_;
     /** Lines with an in-flight store (value = request id, writer). */
-    sim::SmallFlatMap<Addr, std::uint64_t> storeByLine_;
+    sim::PooledKeyMap<Addr, std::uint64_t> storeByLine_;
     /** Accesses waiting to re-enter access() (fills, unlocks). */
     sim::RingBuffer<mem::Access> replayQueue_;
     /** resolveEntry / onWrAck waiter scratch: capacity circulates
      *  between this and the pooled MSHR entries (swap, never free). */
     std::vector<mem::Access> resolveScratch_;
 
-    /** Completed-load payloads parked here so the completion event
-     *  captures only [this, slot] and stays within SmallFunction's
-     *  inline buffer (no per-load closure allocation). */
-    struct LoadReply
-    {
-        mem::Access acc;
-        mem::AccessResult res;
-    };
     sim::SlotPool<LoadReply> loadReplies_;
 
     /**

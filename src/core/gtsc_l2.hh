@@ -124,8 +124,7 @@ class GtscL2 final : public mem::L2Controller
      *  the pooled miss entries (swap, never free). */
     std::vector<mem::Packet> waitersScratch_;
     /** Response packets parked here so the completion event captures
-     *  only [this, slot] and stays inside SmallFunction's inline
-     *  buffer (no per-response closure allocation). */
+     *  only [this, slot] (no per-response closure allocation). */
     sim::SlotPool<mem::Packet> respPool_;
 
     unsigned ports_;

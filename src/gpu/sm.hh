@@ -16,6 +16,7 @@
 #define GTSC_GPU_SM_HH_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "sim/bitmask.hh"
 #include "sim/config.hh"
 #include "sim/ring_buffer.hh"
-#include "sim/small_function.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -130,7 +130,7 @@ class Sm
      * left only a doomed retry or waits), and a move of the L1's
      * reject generation while parked, with the current cycle.
      */
-    void setWakeHook(sim::SmallFunction<void(Cycle)> fn)
+    void setWakeHook(std::function<void(Cycle)> fn)
     {
         wake_ = std::move(fn);
     }
@@ -395,7 +395,7 @@ class Sm
      *  now_ up to lag it by one before running. */
     const Cycle *schedNow_ = nullptr;
     /** Main-loop re-arm hook (setWakeHook). */
-    sim::SmallFunction<void(Cycle)> wake_;
+    std::function<void(Cycle)> wake_;
     /** The warp this SM is parked on (doomedPick()), kNpos when
      *  not parked. Set at the end of an issuing tick and of a
      *  completion callback; cleared at tick entry, callback entry

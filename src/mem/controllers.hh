@@ -12,11 +12,11 @@
 #define GTSC_MEM_CONTROLLERS_HH_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 #include "mem/access.hh"
 #include "mem/packet.hh"
-#include "sim/small_function.hh"
 #include "sim/types.hh"
 
 // Horizon contract (main loop, DESIGN.md §7)
@@ -119,21 +119,17 @@ struct RejectCharge
 class L1Controller
 {
   public:
-    /** A load finished; result carries data + checker timing.
-     * SmallFunction (not std::function): these fire once per memory
-     * instruction, and the inline buffer keeps the closure out of
-     * the heap and the call devirtualized to one indirect jump. */
+    /** A load finished; result carries data + checker timing. */
     using LoadDoneFn =
-        sim::SmallFunction<void(const Access &, const AccessResult &)>;
+        std::function<void(const Access &, const AccessResult &)>;
     /** A store was globally performed; gwct != 0 only for TC-Weak. */
-    using StoreDoneFn =
-        sim::SmallFunction<void(const Access &, Cycle gwct)>;
+    using StoreDoneFn = std::function<void(const Access &, Cycle gwct)>;
     /** Inject a request packet into the request network. */
-    using SendFn = sim::SmallFunction<void(Packet &&)>;
+    using SendFn = std::function<void(Packet &&)>;
     /** Re-arm this parked component (wake contract above). */
-    using WakeFn = sim::SmallFunction<void(Cycle)>;
+    using WakeFn = std::function<void(Cycle)>;
     /** The reject generation moved (reject-generation contract). */
-    using GenerationFn = sim::SmallFunction<void()>;
+    using GenerationFn = std::function<void()>;
 
     virtual ~L1Controller() = default;
 
@@ -229,6 +225,15 @@ class L1Controller
         return false;
     }
 
+    /** A completed load parked in a sim::SlotPool until its
+     *  completion event fires, so the event captures only
+     *  [this, slot] (no per-load closure allocation). */
+    struct LoadReply
+    {
+        Access acc;
+        AccessResult res;
+    };
+
     LoadDoneFn loadDone_;
     StoreDoneFn storeDone_;
     SendFn send_;
@@ -247,9 +252,9 @@ class L2Controller
 {
   public:
     /** Inject a response packet into the response network. */
-    using SendFn = sim::SmallFunction<void(Packet &&)>;
+    using SendFn = std::function<void(Packet &&)>;
     /** Re-arm this parked component (wake contract above). */
-    using WakeFn = sim::SmallFunction<void(Cycle)>;
+    using WakeFn = std::function<void(Cycle)>;
 
     virtual ~L2Controller() = default;
 

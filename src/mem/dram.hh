@@ -24,7 +24,6 @@
 #include "sim/event_queue.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/slot_pool.hh"
-#include "sim/small_function.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -38,7 +37,7 @@ class DramChannel
     /** Re-arm this parked channel (wake contract,
      *  mem/controllers.hh). The L2s push requests directly, so the
      *  channel carries its own hook; both push paths fire it. */
-    using WakeFn = sim::SmallFunction<void(Cycle)>;
+    using WakeFn = std::function<void(Cycle)>;
 
     DramChannel(const sim::Config &cfg, sim::StatSet &stats,
                 sim::EventQueue &events, MainMemory &memory,

@@ -8,28 +8,25 @@
  * The same structure also parks accesses that are blocked behind a
  * locked (store-in-flight) line for G-TSC's update-visibility rule.
  *
- * The table is capacity-bounded (typically 32-64 entries), so lookup
- * is a linear scan over a packed key vector — cheaper than hashing a
- * line address and chasing unordered_map buckets, and the dominant
- * cost in profiles was exactly those bucket chases. Entries live in
- * a deque-backed pool: free() returns the slot without destroying
+ * The table is capacity-bounded (typically 32-64 entries) and its
+ * entries live in a sim::PooledKeyMap: lookup is a linear scan over
+ * packed line addresses, free() returns the slot without destroying
  * the entry, so waiter-vector capacity is recycled across misses and
  * the MSHR stops allocating once warmed up. Entry pointers are
- * stable across alloc/free (deque never moves elements).
+ * stable across alloc/free.
  */
 
 #ifndef GTSC_MEM_MSHR_HH_
 #define GTSC_MEM_MSHR_HH_
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mem/access.hh"
 #include "obs/events.hh"
 #include "obs/tracer.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 #include "sim/types.hh"
 
 namespace gtsc::mem
@@ -57,15 +54,7 @@ class Mshr
   public:
     explicit Mshr(std::size_t capacity) : capacity_(capacity) {}
 
-    MshrEntry *
-    find(Addr line_addr)
-    {
-        for (std::size_t i = 0; i < keys_.size(); ++i) {
-            if (keys_[i] == line_addr)
-                return &slots_[slotOf_[i]];
-        }
-        return nullptr;
-    }
+    MshrEntry *find(Addr line_addr) { return entries_.find(line_addr); }
 
     /** Allocate an entry; nullptr when the table is full. The
      *  entry's fields are reset but its waiter vector keeps the
@@ -73,54 +62,24 @@ class Mshr
     MshrEntry *
     alloc(Addr line_addr)
     {
-        if (keys_.size() >= capacity_)
+        if (full())
             return nullptr;
-        std::uint32_t slot;
-        if (free_.empty()) {
-            slots_.emplace_back();
-            slot = static_cast<std::uint32_t>(slots_.size() - 1);
-        } else {
-            slot = free_.back();
-            free_.pop_back();
-        }
-        keys_.push_back(line_addr);
-        slotOf_.push_back(slot);
-        MshrEntry &e = slots_[slot];
+        MshrEntry &e = entries_.emplace(line_addr);
         e.lineAddr = line_addr;
         e.requestSent = false;
         e.outstanding = 0;
         e.lockWait = false;
         e.requestWts = 0;
         e.waiters.clear();
-        if (trace_) {
-            trace_->record(track_,
-                           obs::Event{clock_->now(), line_addr,
-                                      keys_.size(), 0,
-                                      obs::EventKind::MshrAlloc, 0, 0});
-        }
+        record(obs::EventKind::MshrAlloc, line_addr);
         return &e;
     }
 
     void
     free(Addr line_addr)
     {
-        for (std::size_t i = 0; i < keys_.size(); ++i) {
-            if (keys_[i] != line_addr)
-                continue;
-            free_.push_back(slotOf_[i]);
-            keys_[i] = keys_.back();
-            keys_.pop_back();
-            slotOf_[i] = slotOf_.back();
-            slotOf_.pop_back();
-            if (trace_) {
-                trace_->record(track_,
-                               obs::Event{clock_->now(), line_addr,
-                                          keys_.size(), 0,
-                                          obs::EventKind::MshrRetire, 0,
-                                          0});
-            }
-            return;
-        }
+        if (entries_.erase(line_addr))
+            record(obs::EventKind::MshrRetire, line_addr);
     }
 
     /**
@@ -136,34 +95,34 @@ class Mshr
         clock_ = clock;
     }
 
-    bool full() const { return keys_.size() >= capacity_; }
-    std::size_t size() const { return keys_.size(); }
+    bool full() const { return entries_.size() >= capacity_; }
+    std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
 
-    /** Visit live entries (diagnostics/tests); order unspecified. */
+    /** Visit live entries in line-address order. */
     template <typename F>
     void
     forEach(F &&f) const
     {
-        for (std::size_t i = 0; i < keys_.size(); ++i)
-            f(slots_[slotOf_[i]]);
+        entries_.forEach([&f](Addr, const MshrEntry &e) { f(e); });
     }
 
-    void
-    clear()
-    {
-        for (std::size_t i = 0; i < keys_.size(); ++i)
-            free_.push_back(slotOf_[i]);
-        keys_.clear();
-        slotOf_.clear();
-    }
+    void clear() { entries_.clear(); }
 
   private:
+    /** Trace an alloc/retire with the table's size after it. */
+    void
+    record(obs::EventKind kind, Addr line_addr)
+    {
+        if (trace_) {
+            trace_->record(track_,
+                           obs::Event{clock_->now(), line_addr,
+                                      entries_.size(), 0, kind, 0, 0});
+        }
+    }
+
     std::size_t capacity_;
-    std::vector<Addr> keys_;
-    std::vector<std::uint32_t> slotOf_;
-    std::deque<MshrEntry> slots_;
-    std::vector<std::uint32_t> free_;
+    sim::PooledKeyMap<Addr, MshrEntry> entries_;
     obs::Tracer *trace_ = nullptr;
     obs::Tracer::TrackId track_ = 0;
     const sim::EventQueue *clock_ = nullptr;

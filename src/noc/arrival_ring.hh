@@ -23,16 +23,19 @@
  * buckets (found by a bitmap scan), each in push order. A cached
  * next-arrival cycle makes the nothing-due check O(1).
  *
- * Bucket vectors are reserved up front (`bucket_reserve`) and keep
- * their capacity across clears, preserving the zero-alloc steady
- * state as long as per-cycle fan-in stays within the reservation
- * (one packet per source per cycle on a serialized injection link).
+ * All buckets share one flat slot array, `bucket_capacity` slots per
+ * bucket, plus a per-bucket fill count, allocated once by init(). A
+ * bucket is one arrival cycle, so the crossbar sizes it to its source
+ * count: a source's arrivals strictly increase (each packet holds its
+ * injection link for at least one cycle), so no cycle sees two from
+ * one source. A push past the capacity is a simulation bug.
  */
 
 #ifndef GTSC_NOC_ARRIVAL_RING_HH_
 #define GTSC_NOC_ARRIVAL_RING_HH_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,18 +58,18 @@ template <typename T>
 class ArrivalRing
 {
   public:
-    /** Size the ring: `span` buckets (power of two), each with
-     *  `bucket_reserve` capacity pre-allocated. Call once at setup. */
+    /** Size the ring: `span` buckets (power of two) of
+     *  `bucket_capacity` slots each. Call once at setup. */
     void
-    init(unsigned span, unsigned bucket_reserve)
+    init(unsigned span, unsigned bucket_capacity)
     {
         GTSC_ASSERT((span & (span - 1)) == 0 && span != 0,
                     "ArrivalRing span must be a power of two");
         span_ = span;
         mask_ = span - 1;
-        buckets_.resize(span_);
-        for (auto &b : buckets_)
-            b.reserve(bucket_reserve);
+        capacity_ = bucket_capacity;
+        slots_.resize(std::size_t{span_} * capacity_);
+        fill_.assign(span_, 0);
         occ_.resize(span_);
         overflow_.reserve(16);
         overflowDue_.reserve(16);
@@ -94,9 +97,7 @@ class ArrivalRing
                     "arrival in the past: ", arrive, " < ", base_);
         ++count_;
         if (arrive - base_ < span_) {
-            unsigned idx = static_cast<unsigned>(arrive) & mask_;
-            buckets_[idx].push_back(std::move(entry));
-            occ_.set(idx);
+            place(arrive, std::move(entry));
         } else {
             overflow_.push_back(Overflow{arrive, std::move(entry)});
             overflowMin_ = std::min(overflowMin_, arrive);
@@ -123,12 +124,13 @@ class ArrivalRing
             if (c > now)
                 break;
             unsigned idx = static_cast<unsigned>(c) & mask_;
-            auto &b = buckets_[idx];
+            T *bucket = &slots_[std::size_t{idx} * capacity_];
+            const unsigned n = fill_[idx];
             occ_.clear(idx);
-            count_ -= b.size();
-            for (T &e : b)
-                f(c, e);
-            b.clear();
+            count_ -= n;
+            for (unsigned i = 0; i < n; ++i)
+                f(c, bucket[i]);
+            fill_[idx] = 0;
         }
         // Due overflow is only reachable when now >= base_+span —
         // the whole window drained above, and every overflow arrival
@@ -148,6 +150,18 @@ class ArrivalRing
         Cycle arrive;
         T entry;
     };
+
+    /** Append to the bucket of in-window cycle `arrive`. */
+    void
+    place(Cycle arrive, T &&entry)
+    {
+        unsigned idx = static_cast<unsigned>(arrive) & mask_;
+        GTSC_ASSERT(fill_[idx] < capacity_, "ArrivalRing bucket for cycle ",
+                    arrive, " is full");
+        slots_[std::size_t{idx} * capacity_ + fill_[idx]++] =
+            std::move(entry);
+        occ_.set(idx);
+    }
 
     /** Min occupied in-window cycle via the bucket bitmap. */
     Cycle
@@ -195,9 +209,7 @@ class ArrivalRing
         overflowMin_ = kCycleNever;
         for (auto &oe : overflow_) {
             if (oe.arrive - base_ < span_) {
-                unsigned idx = static_cast<unsigned>(oe.arrive) & mask_;
-                buckets_[idx].push_back(std::move(oe.entry));
-                occ_.set(idx);
+                place(oe.arrive, std::move(oe.entry));
             } else {
                 overflowMin_ = std::min(overflowMin_, oe.arrive);
                 overflow_[keep++] = std::move(oe);
@@ -208,11 +220,14 @@ class ArrivalRing
 
     unsigned span_ = 0;
     unsigned mask_ = 0;
+    unsigned capacity_ = 0;
     std::uint64_t count_ = 0;
     Cycle base_ = 0;
     Cycle next_ = kCycleNever;
     Cycle overflowMin_ = kCycleNever;
-    std::vector<std::vector<T>> buckets_;
+    /** Bucket b is slots_[b * capacity_, b * capacity_ + fill_[b]). */
+    std::vector<T> slots_;
+    std::vector<unsigned> fill_;
     sim::BitMask occ_;
     std::vector<Overflow> overflow_;
     std::vector<Overflow> overflowDue_;

@@ -20,8 +20,7 @@ Crossbar::Crossbar(unsigned num_src, unsigned num_dst,
     srcFree_.assign(numSrc_, 0);
     dstFree_.assign(numDst_, 0);
     // One packet per source per cycle can arrive (injection links
-    // serialize), so span buckets reserved to the source count never
-    // grow — zero-alloc steady state by construction.
+    // serialize), so a bucket needs one slot per source.
     ring_.init(kArrivalRingSpan, numSrc_);
     portFifo_.resize(numDst_);
     pending_.resize(numDst_);

@@ -9,12 +9,12 @@
 #ifndef GTSC_NOC_NETWORK_HH_
 #define GTSC_NOC_NETWORK_HH_
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "mem/packet.hh"
 #include "sim/config.hh"
-#include "sim/small_function.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -30,13 +30,12 @@ namespace gtsc::noc
 class Network
 {
   public:
-    using DeliverFn =
-        sim::SmallFunction<void(unsigned dst, mem::Packet &&)>;
+    using DeliverFn = std::function<void(unsigned dst, mem::Packet &&)>;
     /** Re-arm this parked network (wake contract,
      *  mem/controllers.hh). Implementations call it from inject()
      *  with their post-inject nextWorkCycle(), the only point a
      *  quiescent network acquires tick() work. */
-    using WakeFn = sim::SmallFunction<void(Cycle)>;
+    using WakeFn = std::function<void(Cycle)>;
 
     virtual ~Network() = default;
 

@@ -51,12 +51,12 @@ NoL1::access(const mem::Access &acc, Cycle now)
         pkt.data = acc.storeData;
         pkt.sizeBytes =
             baselineMessageBytes(mem::MsgType::BusWr, acc.wordMask);
-        pendingStores_[acc.id] = acc;
+        pendingStores_.emplace(acc.id) = acc;
         ++(*writes_);
     } else {
         pkt.type = mem::MsgType::BusRd;
         pkt.sizeBytes = baselineMessageBytes(mem::MsgType::BusRd, 0);
-        pendingLoads_[acc.id] = acc;
+        pendingLoads_.emplace(acc.id) = acc;
         ++(*reads_);
     }
     send_(std::move(pkt));
@@ -69,36 +69,37 @@ NoL1::receiveResponse(mem::Packet &&pkt, Cycle now)
 {
     moveGeneration();
     if (pkt.type == mem::MsgType::BusWrAck) {
-        auto it = pendingStores_.find(pkt.reqId);
-        GTSC_ASSERT(it != pendingStores_.end(),
-                    "BL ack without pending store");
-        mem::Access acc = it->second;
-        pendingStores_.erase(it);
+        mem::Access *pending = pendingStores_.find(pkt.reqId);
+        GTSC_ASSERT(pending, "BL ack without pending store");
+        mem::Access acc = *pending;
+        pendingStores_.erase(pkt.reqId);
         storeDone_(acc, 0);
         return;
     }
     GTSC_ASSERT(pkt.type == mem::MsgType::BusFill,
                 "BL unexpected response ", pkt.toString());
-    auto it = pendingLoads_.find(pkt.reqId);
-    GTSC_ASSERT(it != pendingLoads_.end(), "BL fill without pending load");
-    mem::Access acc = it->second;
-    pendingLoads_.erase(it);
+    mem::Access *pending = pendingLoads_.find(pkt.reqId);
+    GTSC_ASSERT(pending, "BL fill without pending load");
 
-    mem::AccessResult res;
-    res.data = pkt.data;
-    res.l1Hit = false;
-    res.leaseGrant = pkt.gwct;
+    std::uint32_t slot = loadReplies_.acquire();
+    LoadReply &rec = loadReplies_[slot];
+    rec.acc = *pending;
+    rec.res = {.data = pkt.data, .leaseGrant = pkt.gwct};
+    pendingLoads_.erase(pkt.reqId);
+    const mem::Access &acc = rec.acc;
     if (probe_) {
         for (unsigned w = 0; w < mem::kWordsPerLine; ++w) {
             if (acc.wordMask & (1u << w)) {
                 probe_->onLoadPhys(acc.lineAddr + w * mem::kWordBytes,
-                                   pkt.gwct, now, res.data.word(w), sm_,
+                                   pkt.gwct, now, pkt.data.word(w), sm_,
                                    acc.warp);
             }
         }
     }
-    events_.schedule(now + 1, [this, acc, res]() {
-        loadDone_(acc, res);
+    events_.schedule(now + 1, [this, slot]() {
+        LoadReply &r = loadReplies_[slot];
+        loadDone_(r.acc, r.res);
+        loadReplies_.release(slot);
     });
 }
 

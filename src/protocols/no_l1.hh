@@ -9,12 +9,11 @@
 #ifndef GTSC_PROTOCOLS_NO_L1_HH_
 #define GTSC_PROTOCOLS_NO_L1_HH_
 
-#include <unordered_map>
-
 #include "mem/coherence_probe.hh"
 #include "mem/controllers.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 
 namespace gtsc::protocols
@@ -48,8 +47,9 @@ class NoL1 final : public mem::L1Controller
     sim::EventQueue &events_;
     mem::CoherenceProbe *probe_;
 
-    std::unordered_map<std::uint64_t, mem::Access> pendingLoads_;
-    std::unordered_map<std::uint64_t, mem::Access> pendingStores_;
+    sim::PooledKeyMap<std::uint64_t, mem::Access> pendingLoads_;
+    sim::PooledKeyMap<std::uint64_t, mem::Access> pendingStores_;
+    sim::SlotPool<LoadReply> loadReplies_;
 
     unsigned numPartitions_;
     std::size_t maxPending_;

@@ -60,12 +60,7 @@ NonCohL1::completeLoad(const mem::Access &acc, const mem::LineData &data,
     std::uint32_t slot = loadReplies_.acquire();
     LoadReply &rec = loadReplies_[slot];
     rec.acc = acc;
-    mem::AccessResult &res = rec.res;
-    res.data = data;
-    res.l1Hit = hit;
-    res.loadTs = 0; // recycled slot: reset every field
-    res.epoch = 0;
-    res.leaseGrant = grant;
+    rec.res = {.data = data, .l1Hit = hit, .leaseGrant = grant};
     if (probe_) {
         // Words covered by this SM's own in-flight stores are store
         // forwarding (the value is not globally performed yet), not
@@ -107,7 +102,7 @@ NonCohL1::access(const mem::Access &acc, Cycle now)
                                             acc.wordMask);
             ++(*dataWrites_);
         }
-        pendingStores_[acc.id] = acc;
+        pendingStores_.emplace(acc.id) = acc;
         mem::Packet pkt;
         pkt.type = mem::MsgType::BusWr;
         pkt.lineAddr = acc.lineAddr;

@@ -17,7 +17,6 @@
 #include "mem/mshr.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 
@@ -58,19 +57,11 @@ class NonCohL1 final : public mem::L1Controller
 
     mem::CacheArray array_;
     mem::Mshr mshr_;
-    sim::SmallFlatMap<std::uint64_t, mem::Access> pendingStores_;
+    sim::PooledKeyMap<std::uint64_t, mem::Access> pendingStores_;
     /** Fill-waiter scratch: capacity circulates between this and the
      *  pooled MSHR entries (swap, never free). */
     std::vector<mem::Access> waitersScratch_;
 
-    /** Completed-load payloads parked here so the completion event
-     *  captures only [this, slot] (inline SmallFunction, no per-load
-     *  closure allocation). */
-    struct LoadReply
-    {
-        mem::Access acc;
-        mem::AccessResult res;
-    };
     sim::SlotPool<LoadReply> loadReplies_;
 
     unsigned numPartitions_;

@@ -63,12 +63,7 @@ TcL1::completeLoad(const mem::Access &acc, const mem::LineData &data,
     std::uint32_t slot = loadReplies_.acquire();
     LoadReply &rec = loadReplies_[slot];
     rec.acc = acc;
-    mem::AccessResult &res = rec.res;
-    res.data = data;
-    res.l1Hit = hit;
-    res.loadTs = 0; // recycled slot: reset every field
-    res.epoch = 0;
-    res.leaseGrant = grant;
+    rec.res = {.data = data, .l1Hit = hit, .leaseGrant = grant};
     if (probe_) {
         for (unsigned w = 0; w < mem::kWordsPerLine; ++w) {
             if (acc.wordMask & (1u << w)) {
@@ -97,7 +92,7 @@ TcL1::access(const mem::Access &acc, Cycle now)
         // invalidated and the L2 performs the write.
         if (blk)
             array_.invalidate(*blk);
-        pendingStores_[acc.id] = acc;
+        pendingStores_.emplace(acc.id) = acc;
         mem::Packet pkt;
         pkt.type = mem::MsgType::BusWr;
         pkt.lineAddr = acc.lineAddr;

@@ -14,33 +14,24 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <utility>
 #include <vector>
 
-#include "sim/small_function.hh"
 #include "sim/types.hh"
 
 namespace gtsc::sim
 {
 
-/**
- * Move-only callable with an inline fast path for small closures.
- *
- * Protocol completions capture `this` plus a handful of words;
- * std::function's tiny internal buffer spills most of them to the
- * heap, and the allocator showed up in event scheduling. Now an
- * alias for the generalized SmallFunction (sim/small_function.hh),
- * which the NoC and cache-controller callbacks use with their own
- * signatures.
- */
-using SmallCallback = SmallFunction<void()>;
-
 /** Min-heap of (cycle, sequence, callback). */
 class EventQueue
 {
   public:
-    using Callback = SmallCallback;
+    /** Every hot completion captures only [this, slot] (its payload
+     *  parks in a sim::SlotPool), which std::function stores inline,
+     *  so scheduling one allocates nothing. */
+    using Callback = std::function<void()>;
 
     /** Schedule cb to run at the given absolute cycle. */
     void

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace gtsc;
 using mem::Mshr;
 using mem::MshrEntry;
@@ -53,4 +55,17 @@ TEST(Mshr, ClearEmptiesTable)
     m.alloc(0x100);
     m.clear();
     EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(Mshr, ForEachVisitsInLineOrder)
+{
+    Mshr m(4);
+    m.alloc(0x180);
+    m.alloc(0x080);
+    m.alloc(0x100);
+    m.free(0x080);
+    m.alloc(0x000);
+    std::vector<Addr> lines;
+    m.forEach([&lines](const MshrEntry &e) { lines.push_back(e.lineAddr); });
+    EXPECT_EQ(lines, (std::vector<Addr>{0x000, 0x100, 0x180}));
 }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <utility>
 #include <vector>
 
 using gtsc::sim::EventQueue;
@@ -61,51 +60,13 @@ TEST(EventQueue, NextEventCycle)
     EXPECT_EQ(q.nextEventCycle(), 42u);
 }
 
-TEST(SmallCallback, SmallClosureTakesInlinePath)
-{
-    int hits = 0;
-    gtsc::sim::SmallCallback cb([&hits] { ++hits; });
-    EXPECT_TRUE(cb.inlined());
-    cb();
-    EXPECT_EQ(hits, 1);
-}
-
-TEST(SmallCallback, LargeClosureFallsBackToHeap)
-{
-    struct Big
-    {
-        char payload[200];
-    };
-    Big big{};
-    big.payload[0] = 7;
-    int out = 0;
-    gtsc::sim::SmallCallback cb([big, &out] { out = big.payload[0]; });
-    EXPECT_FALSE(cb.inlined());
-    cb();
-    EXPECT_EQ(out, 7);
-}
-
-TEST(SmallCallback, MovePreservesClosureState)
-{
-    int hits = 0;
-    gtsc::sim::SmallCallback a([&hits] { ++hits; });
-    gtsc::sim::SmallCallback b(std::move(a));
-    EXPECT_FALSE(static_cast<bool>(a));
-    EXPECT_TRUE(static_cast<bool>(b));
-    b();
-    gtsc::sim::SmallCallback c;
-    c = std::move(b);
-    c();
-    EXPECT_EQ(hits, 2);
-}
-
 TEST(EventQueue, LargeCapturesStillFireInOrder)
 {
     EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 4; ++i) {
-        // > kInlineBytes of captured state exercises the heap path
-        // through the same heap as the small events.
+        // A capture too big for std::function's inline buffer takes
+        // the heap path through the same queue as the small events.
         std::array<int, 40> blob{};
         blob[0] = i;
         q.schedule(6, [&order, blob] { order.push_back(blob[0]); });
