@@ -61,7 +61,6 @@ GtscL1::GtscL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     // A reset rewinds every warp timestamp and, through adoptEpoch on
     // the next access, the whole array: a rejected access may fare
     // differently afterwards.
-    keepRejectGeneration();
     domain_.addResetListener([this]() { moveGeneration(); });
 }
 
@@ -124,7 +123,7 @@ GtscL1::captureVerifyState()
         l.lineAddr = blk.lineAddr;
         l.dirty = blk.dirty;
         l.meta = blk.meta;
-        l.data = array_.dataOf(blk);
+        l.data = blk.data;
         s.lines.push_back(std::move(l));
     });
     std::sort(s.lines.begin(), s.lines.end(),
@@ -167,7 +166,7 @@ GtscL1::restoreVerifyState(const L1VerifyState &s)
         array_.insert(*blk, l.lineAddr);
         blk->dirty = l.dirty;
         blk->meta = l.meta;
-        array_.dataOf(*blk) = l.data;
+        blk->data = l.data;
     }
     warpTs_ = s.warpTs;
     epoch_ = s.epoch;
@@ -340,8 +339,7 @@ GtscL1::handleStore(const mem::Access &acc, mem::CacheBlock *blk,
         // data but blocks the line; options 2/3 keep the old copy
         // readable and merge on ack.
         if (visibility_ == Visibility::Block)
-            array_.dataOf(*blk).mergeMasked(acc.storeData,
-                                            acc.wordMask);
+            blk->data.mergeMasked(acc.storeData, acc.wordMask);
         ps.hadBlock = true;
         ps.baseWts = blk->meta.wts;
         ++(*dataWrites_);
@@ -416,7 +414,7 @@ GtscL1::completeLoadHit(const mem::Access &acc,
     std::uint32_t slot = loadReplies_.acquire();
     LoadReply &rec = loadReplies_[slot];
     rec.acc = acc;
-    rec.res = {.data = array_.dataOf(blk),
+    rec.res = {.data = blk.data,
                .l1Hit = true,
                .loadTs = load_ts,
                .epoch = epoch_};
@@ -553,7 +551,7 @@ GtscL1::onFill(mem::Packet &pkt, Cycle now)
         }
     }
     if (blk) {
-        array_.dataOf(*blk) = pkt.data;
+        blk->data = pkt.data;
         blk->meta.wts = pkt.wts;
         blk->meta.rts = pkt.rts;
         blk->meta.epoch = pkt.epoch;
@@ -655,8 +653,7 @@ GtscL1::onWrAck(mem::Packet &pkt, Cycle now)
         if (ps.hadBlock && ps.baseWts == pkt.prevWts &&
             blk->meta.wts <= pkt.wts) {
             if (visibility_ != Visibility::Block) // 2/3 merge on ack
-                array_.dataOf(*blk).mergeMasked(acc.storeData,
-                                                acc.wordMask);
+                blk->data.mergeMasked(acc.storeData, acc.wordMask);
             blk->meta.wts = pkt.wts;
             blk->meta.rts = pkt.rts;
             blk->meta.epoch = pkt.epoch;

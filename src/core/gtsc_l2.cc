@@ -85,7 +85,7 @@ GtscL2::flushAll(Cycle now)
     array_.forEachValid([this](mem::CacheBlock &blk) {
         memTs_ = std::max(memTs_, blk.meta.rts);
         if (blk.dirty)
-            memory_.writeLine(blk.lineAddr, array_.dataOf(blk));
+            memory_.writeLine(blk.lineAddr, blk.data);
         array_.invalidate(blk);
     });
 }
@@ -238,7 +238,7 @@ GtscL2::serveRead(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
     } else {
         resp.type = mem::MsgType::BusFill;
         resp.wts = blk.meta.wts;
-        resp.data = array_.dataOf(blk);
+        resp.data = blk.data;
         resp.sizeBytes = gtscMessageBytes(mem::MsgType::BusFill,
                                           domain_.tsBytes(), 0);
         ++(*fillsSent_);
@@ -269,7 +269,7 @@ GtscL2::serveWrite(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
         new_rts = new_wts + domain_.lease();
     }
 
-    array_.dataOf(blk).mergeMasked(pkt.data, pkt.wordMask);
+    blk.data.mergeMasked(pkt.data, pkt.wordMask);
     blk.meta.wts = new_wts;
     blk.meta.rts = new_rts;
     blk.meta.renewStreak = 0; // data changed: restart prediction
@@ -319,8 +319,7 @@ GtscL2::evict(mem::CacheBlock &blk)
     ++(*evictions_);
     if (blk.dirty) {
         ++(*writebacks_);
-        dram_.pushWrite(blk.lineAddr, array_.dataOf(blk),
-                        0xffffffffu);
+        dram_.pushWrite(blk.lineAddr, blk.data, 0xffffffffu);
     }
     array_.invalidate(blk);
 }
@@ -333,7 +332,7 @@ GtscL2::onDramFill(Addr line, const mem::LineData &data, Cycle now)
     if (victim->valid)
         evict(*victim);
     array_.insert(*victim, line);
-    array_.dataOf(*victim) = data;
+    victim->data = data;
 
     if (memTs_ + domain_.lease() > domain_.tsMax()) {
         domain_.triggerReset(); // rewinds memTs_ to 1
@@ -362,7 +361,7 @@ GtscL2::captureVerifyState()
         l.lineAddr = blk.lineAddr;
         l.dirty = blk.dirty;
         l.meta = blk.meta;
-        l.data = array_.dataOf(blk);
+        l.data = blk.data;
         s.lines.push_back(std::move(l));
     });
     std::sort(s.lines.begin(), s.lines.end(),
@@ -385,7 +384,7 @@ GtscL2::restoreVerifyState(const L2VerifyState &s)
         array_.insert(*blk, l.lineAddr);
         blk->dirty = l.dirty;
         blk->meta = l.meta;
-        array_.dataOf(*blk) = l.data;
+        blk->data = l.data;
     }
     memTs_ = s.memTs;
 }

@@ -176,7 +176,9 @@ class GpuSystem
     std::uint64_t l2TickCount_ = 0;
     std::uint64_t nocTickCount_ = 0;
     std::uint64_t dramTickCount_ = 0;
-    /** noc.{req,resp}.packets, cached off the progress-token path. */
+    /** sm.instructions and noc.{req,resp}.packets, cached off the
+     *  progress-token path. */
+    const std::uint64_t *smInstructions_;
     const std::uint64_t *nocReqPackets_;
     const std::uint64_t *nocRespPackets_;
     std::function<void(const mem::MainMemory &, unsigned)>

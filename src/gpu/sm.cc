@@ -16,9 +16,7 @@ Sm::Sm(SmId id, const GpuParams &params, const sim::Config &cfg,
       coalescer_(values)
 {
     warps_.resize(params_.warpsPerSm);
-    warpState_.assign(params_.warpsPerSm, WarpState::Idle);
     warpReadyAt_.assign(params_.warpsPerSm, 0);
-    memRetry_.assign(params_.warpsPerSm, 0);
     readyMask_.resize(params_.warpsPerSm);
     waitComputeMask_.resize(params_.warpsPerSm);
     waitMemMask_.resize(params_.warpsPerSm);
@@ -101,7 +99,6 @@ Sm::onGenerationMoved()
     Cycle now = schedNow_ ? *schedNow_ : now_ + 1;
     accountThrough(now - 1);
     parkedOn_ = sim::BitMask::kNpos;
-    invalidateTickCache();
     if (wake_)
         wake_(now);
 }
@@ -147,7 +144,6 @@ Sm::launchKernel(std::vector<std::unique_ptr<WarpProgram>> &&programs)
 {
     GTSC_ASSERT(programs.size() == warps_.size(),
                 "program count != warp count");
-    liveWarps_ = 0;
     readyMask_.clearAll();
     waitComputeMask_.clearAll();
     waitMemMask_.clearAll();
@@ -162,22 +158,16 @@ Sm::launchKernel(std::vector<std::unique_ptr<WarpProgram>> &&programs)
         GTSC_ASSERT(warp.outstandingStores == 0 &&
                         warp.storeFifo.empty(),
                     "kernel launch with outstanding stores");
+        GTSC_ASSERT(programs[w], "kernel launch without a warp program");
         warp.program = std::move(programs[w]);
-        warpState_[w] =
-            warp.program ? WarpState::Ready : WarpState::Idle;
-        if (warp.program) {
-            ++liveWarps_;
-            readyMask_.set(w);
-        }
+        readyMask_.set(w);
         warp.hasCur = false;
         warpReadyAt_[w] = 0;
-        memRetry_[w] = 0;
         warp.gwct = 0;
         warp.spinIters = 0;
     }
     lastIssued_ = 0;
     parkedOn_ = sim::BitMask::kNpos;
-    invalidateTickCache();
 }
 
 bool
@@ -204,9 +194,7 @@ Sm::retire(unsigned w)
     WarpCtx &warp = warps_[w];
     warp.hasCur = false;
     warp.spinIters = 0;
-    if (warpState_[w] != WarpState::Done)
-        setWarpState(w, WarpState::Ready);
-    ++retiredTotal_;
+    setWarpState(w, WarpState::Ready);
     ++*instrs_;
 }
 
@@ -233,7 +221,7 @@ Sm::tick(Cycle now)
         *fenceStallCycles_ += waitFenceMask_.count();
         sim::forEachSetOr(
             waitComputeMask_, waitFenceMask_, [&](unsigned w) {
-                if (warpState_[w] == WarpState::WaitCompute) {
+                if (waitComputeMask_.test(w)) {
                     if (now >= warpReadyAt_[w]) {
                         setWarpState(w, WarpState::Ready);
                         if (trace_)
@@ -243,7 +231,6 @@ Sm::tick(Cycle now)
                 } else if (fenceSatisfied(warps_[w], now)) {
                     setWarpState(w, WarpState::Ready);
                     // The fence instruction retires when it unblocks.
-                    ++retiredTotal_;
                     ++*instrs_;
                     if (trace_)
                         traceWarp(obs::EventKind::WarpResume, now, w,
@@ -287,56 +274,24 @@ Sm::tick(Cycle now)
         GTSC_ASSERT(progress, "picked warp did not use its slot");
         ++*activeCycles_;
         ++issueSlotsUsed_;
-        // Issue changed warp state; the cached classification and
-        // horizon no longer describe it.
-        invalidateTickCache();
         parkedOn_ = doomedPick();
         return;
     }
-    bool any_compute = waitComputeMask_.any();
-    unsigned wait_fence = waitFenceMask_.count();
-    bool any_mem = wait_fence != 0 || waitMemMask_.any();
-    bool any_live = any_compute || any_mem || readyMask_.any();
-    std::uint64_t *bucket;
-    if (!any_live)
-        bucket = idleCycles_;
-    else if (any_compute)
-        bucket = computeStallCycles_;
-    else if (any_mem)
-        bucket = memStallCycles_;
-    else
-        bucket = idleCycles_;
-    ++(*bucket);
+    ++*stallBucket();
+}
 
-    // Cache the end-of-tick classification and horizon so the parked
-    // stretch that follows costs O(1) to account: until an L1
-    // callback mutates a warp (invalidateTickCache) or the horizon
-    // arrives, a repeat of this pass could neither issue, wake a
-    // warp, nor submit a buffered store — only the accounting above
-    // would run, and fastForwardStats replays exactly that.
-    cachedStallBucket_ = bucket;
-    cachedWaitFence_ = wait_fence;
-    horizonValid_ = false;
-    cachedNextWork_ = nextWorkCycle(now);
-    idleTickValid_ = true;
+std::uint64_t *
+Sm::stallBucket() const
+{
+    if (waitComputeMask_.any())
+        return computeStallCycles_;
+    if (waitMemMask_.any() || waitFenceMask_.any())
+        return memStallCycles_;
+    return idleCycles_;
 }
 
 Cycle
 Sm::nextWorkCycle(Cycle now) const
-{
-    // The horizon only moves when warp state does; cache it. The
-    // max-clamp keeps a cached "work next cycle" answer correct when
-    // re-asked at a later cycle (the pinning condition still holds,
-    // so the answer is again "next cycle").
-    if (!horizonValid_) {
-        cachedNextWork_ = computeNextWork(now);
-        horizonValid_ = true;
-    }
-    return std::max(cachedNextWork_, now + 1);
-}
-
-Cycle
-Sm::computeNextWork(Cycle now) const
 {
     Cycle next = kCycleNever;
     // Store-buffer drains retry l1_.access() every tick while
@@ -385,52 +340,22 @@ Sm::fastForwardStats(Cycle span)
         warps_[parkedOn_].rejectCharge.charge(span);
         return;
     }
-    // Fast path: the cached no-issue classification (valid while
-    // warp state is untouched since it was computed) already names
-    // the bucket and the fence count, so a bulk span is two
-    // additions. This is what keeps the main loop's deferred
-    // catch-up O(1) per parked SM.
-    if (idleTickValid_) {
-        *fenceStallCycles_ +=
-            static_cast<std::uint64_t>(cachedWaitFence_) * span;
-        *cachedStallBucket_ += span;
-        return;
-    }
-    // Mirrors the issued == 0 classification at the end of tick();
-    // warp states cannot change inside a skipped range, so each
-    // skipped cycle lands in the same bucket.
-    bool any_compute = waitComputeMask_.any();
-    unsigned wait_fence = waitFenceMask_.count();
-    bool any_mem = wait_fence != 0 || waitMemMask_.any();
-    bool any_live = any_compute || any_mem || readyMask_.any();
+    // Warp states cannot change inside a skipped range, so each
+    // skipped cycle is a no-issue tick() landing in the same bucket.
     *fenceStallCycles_ +=
-        static_cast<std::uint64_t>(wait_fence) * span;
-    std::uint64_t *bucket;
-    if (!any_live)
-        bucket = idleCycles_;
-    else if (any_compute)
-        bucket = computeStallCycles_;
-    else if (any_mem)
-        bucket = memStallCycles_;
-    else
-        bucket = idleCycles_;
-    *bucket += span;
-    // Re-establish the classification cache so the rest of the
-    // parked stretch takes the fast path.
-    cachedStallBucket_ = bucket;
-    cachedWaitFence_ = wait_fence;
-    idleTickValid_ = true;
+        static_cast<std::uint64_t>(waitFenceMask_.count()) * span;
+    *stallBucket() += span;
 }
 
 bool
 Sm::issueWarp(unsigned w, Cycle now)
 {
-    // Structural retries count as the warp's issue slot. memRetry_
+    // Structural retries count as the warp's issue slot. retryMask_
     // is exactly "submits pending and not alias-blocked" (a warp
     // with pending submits is always in WaitMem), so the common
-    // can't-issue case is decided from the SoA arrays alone. A
-    // doomed retry charges its recorded reject instead of asking.
-    if (memRetry_[w]) {
+    // can't-issue case is decided from the masks alone. A doomed
+    // retry charges its recorded reject instead of asking.
+    if (retryMask_.test(w)) {
         if (retryDoomed(w)) {
             warps_[w].rejectCharge.charge(1);
             return true;
@@ -441,7 +366,7 @@ Sm::issueWarp(unsigned w, Cycle now)
         return true;
     }
 
-    if (warpState_[w] != WarpState::Ready)
+    if (!readyMask_.test(w))
         return false;
 
     WarpCtx &warp = warps_[w];
@@ -478,8 +403,6 @@ Sm::beginInstr(unsigned w, Cycle now)
       case WarpInstr::Op::Exit:
         setWarpState(w, WarpState::Done);
         warp.hasCur = false;
-        GTSC_ASSERT(liveWarps_ > 0, "Exit with no live warps");
-        --liveWarps_;
         return true;
 
       case WarpInstr::Op::Compute: {
@@ -573,7 +496,7 @@ Sm::beginInstr(unsigned w, Cycle now)
         bool drained = drainSubmits(w, now);
         if (drained && warp.inFlight == 0)
             finishMemInstr(w, now);
-        if (trace_ && warpState_[w] == WarpState::WaitMem) {
+        if (trace_ && waitMemMask_.test(w)) {
             traceWarp(obs::EventKind::WarpStall, now, w,
                       static_cast<std::uint16_t>(obs::StallReason::Mem),
                       instr.laneAddr(0));
@@ -665,7 +588,6 @@ void
 Sm::onLoadDone(const mem::Access &acc, const mem::AccessResult &res,
                Cycle now)
 {
-    invalidateTickCache();
     WarpCtx &warp = warps_[acc.warp];
     GTSC_ASSERT(warp.inFlight > 0, "load completion with none in flight");
     --warp.inFlight;
@@ -678,7 +600,7 @@ Sm::onLoadDone(const mem::Access &acc, const mem::AccessResult &res,
     }
     if (warp.inFlight == 0 && !warp.submitsPending()) {
         finishMemInstr(acc.warp, now);
-        if (trace_ && warpState_[acc.warp] == WarpState::Ready) {
+        if (trace_ && readyMask_.test(acc.warp)) {
             traceWarp(obs::EventKind::WarpResume, now, acc.warp, 0,
                       acc.lineAddr);
         }
@@ -688,7 +610,6 @@ Sm::onLoadDone(const mem::Access &acc, const mem::AccessResult &res,
 void
 Sm::onStoreDone(const mem::Access &acc, Cycle gwct, Cycle now)
 {
-    invalidateTickCache();
     WarpCtx &warp = warps_[acc.warp];
     GTSC_ASSERT(warp.outstandingStores > 0,
                 "store ack with none outstanding");
@@ -713,7 +634,7 @@ Sm::onStoreDone(const mem::Access &acc, Cycle gwct, Cycle now)
         --warp.inFlight;
         if (warp.inFlight == 0 && !warp.submitsPending()) {
             finishMemInstr(acc.warp, now);
-            if (trace_ && warpState_[acc.warp] == WarpState::Ready) {
+            if (trace_ && readyMask_.test(acc.warp)) {
                 traceWarp(obs::EventKind::WarpResume, now, acc.warp, 0,
                           acc.lineAddr);
             }

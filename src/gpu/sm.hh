@@ -42,11 +42,11 @@ class Sm
        StoreValueSource &values);
 
     /**
-     * Install one program per warp and mark all warps runnable.
-     * Takes the vector by rvalue reference and only moves the
-     * programs out, so the caller keeps the buffer and can relaunch
-     * kernel after kernel without reallocating it (zero-alloc steady
-     * state).
+     * Install one program per warp and mark all warps runnable. Every
+     * warp needs a program: one with no work runs `exit`. Takes the
+     * vector by rvalue reference and only moves the programs out, so
+     * the caller keeps the buffer and can relaunch kernel after
+     * kernel without reallocating it (zero-alloc steady state).
      */
     void
     launchKernel(std::vector<std::unique_ptr<WarpProgram>> &&programs);
@@ -141,15 +141,17 @@ class Sm
      */
     void attachTracer(obs::Tracer &tracer);
 
-    /** All warps have exited (stores may still be outstanding).
-     *  O(1): maintained as a live-warp count at the two transition
-     *  points (kernel launch, Exit retire). */
-    bool allWarpsDone() const { return liveWarps_ == 0; }
+    /** All warps have exited (stores may still be outstanding): no
+     *  warp is in any state mask. */
+    bool
+    allWarpsDone() const
+    {
+        return !readyMask_.any() && !waitComputeMask_.any() &&
+               !waitMemMask_.any() && !waitFenceMask_.any();
+    }
 
     /** No accesses awaiting submission and no outstanding stores. */
     bool quiescent() const;
-
-    std::uint64_t instructionsRetired() const { return retiredTotal_; }
 
     /** Issue slots consumed across all full ticks (diagnostic for
      *  perfbench's gpu.issue_slots_* metrics; never a StatSet
@@ -161,7 +163,6 @@ class Sm
   private:
     enum class WarpState : std::uint8_t
     {
-        Idle,        ///< no program installed
         Ready,       ///< can issue
         WaitCompute, ///< busy until readyAt (also spin backoff)
         WaitMem,     ///< blocked on current memory instruction
@@ -170,13 +171,13 @@ class Sm
     };
 
     /**
-     * Cold/bulky per-warp context. The fields the per-cycle
-     * scheduler scans (state, readyAt, the mem-retry flag) live in
-     * parallel arrays instead — warpState_/warpReadyAt_/memRetry_ —
-     * so wake, issue-candidate and stall-classification passes walk
-     * a few contiguous cachelines rather than striding through
-     * ~250-byte WarpCtx records (the current WarpInstr, its
-     * coalescing plan, the submit and store buffers).
+     * Cold/bulky per-warp context. What the per-cycle scheduler
+     * scans lives outside it: the warp's state and its mem-retry
+     * flag in the packed masks, its compute wake cycle in
+     * warpReadyAt_, so wake, issue-candidate and stall-classification
+     * passes never stride through ~250-byte WarpCtx records (the
+     * current WarpInstr, its coalescing plan, the submit and store
+     * buffers).
      */
     struct WarpCtx
     {
@@ -215,7 +216,8 @@ class Sm
          * per warp because the L1's own record moves with every
          * reject (a G-TSC replay included). A record left from an
          * earlier access never matches: the access that followed it
-         * was accepted, which moved the generation. 0: none.
+         * was accepted, which moved the generation. 0: none, which
+         * never matches (a generation starts at 1).
          */
         std::uint64_t rejectGen = 0;
         mem::RejectCharge rejectCharge;
@@ -227,23 +229,8 @@ class Sm
         }
     };
 
-    /** Horizon scan over all warps (the uncached nextWorkCycle). */
-    Cycle computeNextWork(Cycle now) const;
-
-    /**
-     * Drop the cached horizon/stall classification. Called wherever
-     * warp state changes outside the tick pass itself: kernel launch
-     * and the L1 completion callbacks.
-     */
-    void
-    invalidateTickCache()
-    {
-        horizonValid_ = false;
-        idleTickValid_ = false;
-    }
-
-    /** Mask holding warps in state `s` (nullptr for Idle/Done —
-     *  those are the complement of the four tracked masks). */
+    /** Mask holding warps in state `s` (nullptr for Done: a warp
+     *  that exited is in none of the four). */
     sim::BitMask *
     maskFor(WarpState s)
     {
@@ -261,31 +248,33 @@ class Sm
         }
     }
 
-    /** The single warp-state transition point: updates the byte
-     *  array and the packed masks together. */
+    /** The single warp-state transition point: take the warp out of
+     *  every state mask, then into the one for `s`. */
     void
     setWarpState(unsigned w, WarpState s)
     {
-        WarpState old = warpState_[w];
-        if (old == s)
-            return;
-        if (sim::BitMask *m = maskFor(old))
-            m->clear(w);
+        readyMask_.clear(w);
+        waitComputeMask_.clear(w);
+        waitMemMask_.clear(w);
+        waitFenceMask_.clear(w);
         if (sim::BitMask *m = maskFor(s))
             m->set(w);
-        warpState_[w] = s;
     }
 
-    /** The single memRetry_ transition point (byte + mask bit). */
+    /** The single retryMask_ transition point. */
     void
     setMemRetry(unsigned w, bool v)
     {
-        memRetry_[w] = v ? 1 : 0;
         if (v)
             retryMask_.set(w);
         else
             retryMask_.clear(w);
     }
+
+    /** The Figure 13 stall bucket of a cycle in which no warp issues:
+     *  compute if any warp computes, else memory if any waits on
+     *  memory or a fence, else idle. */
+    std::uint64_t *stallBucket() const;
 
     /** Try to make progress for warp w; true if an issue slot used. */
     bool issueWarp(unsigned w, Cycle now);
@@ -294,9 +283,8 @@ class Sm
     bool
     retryDoomed(unsigned w) const
     {
-        const WarpCtx &warp = warps_[w];
-        return memRetry_[w] && warp.rejectGen != 0 &&
-               warp.rejectGen == l1_.rejectGeneration();
+        return retryMask_.test(w) &&
+               warps_[w].rejectGen == l1_.rejectGeneration();
     }
 
     /** The warp the scheduler's next pick is pinned to when that
@@ -319,8 +307,8 @@ class Sm
     bool beginInstr(unsigned w, Cycle now);
 
     /** Submit queued accesses to L1; true if all were accepted.
-     *  Maintains memRetry_[w] (callers guarantee the warp is not
-     *  alias-blocked when they call this). */
+     *  Maintains the warp's retryMask_ bit (callers guarantee the
+     *  warp is not alias-blocked when they call this). */
     bool drainSubmits(unsigned w, Cycle now);
 
     void retire(unsigned w);
@@ -350,33 +338,26 @@ class Sm
     };
 
     std::vector<WarpCtx> warps_;
-    // --- hot per-warp scheduler state (SoA; see WarpCtx comment) ---
-    /** Scheduling state, one byte per warp. */
-    std::vector<WarpState> warpState_;
-    /** Wake cycle for WaitCompute warps (parallel to warpState_). */
+    /** Wake cycle of each WaitCompute warp. */
     std::vector<Cycle> warpReadyAt_;
-    /**
-     * 1 iff the warp has submits pending and is not alias-blocked
-     * (submitsPending() && !loadWaitsStores) — the WaitMem warps an
-     * issue slot must retry. Maintained by drainSubmits and the two
-     * loadWaitsStores transition points.
-     */
-    std::vector<std::uint8_t> memRetry_;
 
     // --- packed scheduling masks (one uint64 word per 64 warps) ---
-    // Derived views of warpState_/memRetry_/storeFifo occupancy kept
-    // exactly in sync at every transition (setWarpState /
-    // setMemRetry / the storeFifo push-drain points): the wake pass
-    // walks only waitComputeMask_|waitFenceMask_, the issue pickers
-    // are ctz scans over readyMask_|retryMask_, and the no-issue
-    // classification is four popcount/any queries. The byte arrays
-    // stay authoritative for everything cold (mask↔vector
-    // equivalence invariant, DESIGN.md §9).
+    // The only record of warp state. A warp is in at most one of the
+    // four state masks, and in none once Done; setWarpState is the
+    // one place that moves it. The wake pass walks only
+    // waitComputeMask_|waitFenceMask_, the issue pickers are ctz
+    // scans over readyMask_|retryMask_, and stallBucket() is three
+    // any() queries.
     sim::BitMask readyMask_;
     sim::BitMask waitComputeMask_;
     sim::BitMask waitMemMask_;
     sim::BitMask waitFenceMask_;
-    /** Mirror of memRetry_ (set bits ⊆ waitMemMask_). */
+    /**
+     * Warps with submits pending that are not alias-blocked
+     * (submitsPending() && !loadWaitsStores): the WaitMem warps an
+     * issue slot must retry (set bits ⊆ waitMemMask_). Maintained by
+     * drainSubmits and the two loadWaitsStores transition points.
+     */
     sim::BitMask retryMask_;
     /** Warps whose storeFifo is non-empty (empty outside TSO,
      *  letting the per-cycle drain pass be skipped entirely). */
@@ -387,7 +368,6 @@ class Sm
     Scheduler scheduler_;
     unsigned lastIssued_ = 0;
     std::uint64_t nextAccessId_ = 1;
-    std::uint64_t retiredTotal_ = 0;
     /** Issue slots consumed (diagnostic; see issueSlotsUsed()). */
     std::uint64_t issueSlotsUsed_ = 0;
     Cycle now_ = 0; ///< updated at tick entry; callbacks use it
@@ -401,25 +381,6 @@ class Sm
      *  completion callback; cleared at tick entry, callback entry
      *  and by a generation move, each of which may change it. */
     unsigned parkedOn_ = sim::BitMask::kNpos;
-
-    /** Warps not yet Done/Idle (O(1) allWarpsDone). */
-    unsigned liveWarps_ = 0;
-
-    // --- cached horizon/stall state (data-oriented hot path) ---
-    // Valid while no warp state has changed since it was computed:
-    // the tick pass refreshes it after a no-issue cycle, and every
-    // external mutation point calls invalidateTickCache().
-    /** Cached nextWorkCycle() result (absolute cycle). */
-    mutable Cycle cachedNextWork_ = 0;
-    mutable bool horizonValid_ = false;
-    /** The no-issue classification caches below are usable (the
-     *  O(1) path of fastForwardStats). */
-    bool idleTickValid_ = false;
-    /** Stall bucket the classification chose (idle/compute/mem);
-     *  one of the StatSet counters below. */
-    std::uint64_t *cachedStallBucket_ = nullptr;
-    /** Warps in WaitFence (per-cycle fence-stall accounting). */
-    unsigned cachedWaitFence_ = 0;
 
     Cycle spinBackoff_;
 

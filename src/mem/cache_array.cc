@@ -29,7 +29,6 @@ CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc)
     if (!isPow2(numSets_))
         GTSC_FATAL("cache set count ", numSets_, " must be a power of 2");
     blocks_.resize(numSets_ * assoc_);
-    data_.resize(numSets_ * assoc_);
 }
 
 CacheBlock *
@@ -53,13 +52,15 @@ CacheArray::lookup(Addr line_addr) const
 void
 CacheArray::insert(CacheBlock &blk, Addr line_addr)
 {
-    GTSC_ASSERT(setIndex(line_addr) == indexOf(blk) / assoc_,
+    GTSC_ASSERT(setIndex(line_addr) ==
+                    static_cast<std::size_t>(&blk - blocks_.data()) /
+                        assoc_,
                 "insert into wrong set");
     blk.valid = true;
     blk.dirty = false;
     blk.lineAddr = line_addr;
     blk.meta = BlockMeta{};
-    data_[indexOf(blk)] = LineData{};
+    blk.data = LineData{};
     touch(blk);
 }
 

@@ -40,13 +40,7 @@ struct BlockMeta
     Cycle grant = 0;
 };
 
-/**
- * Hot per-way record: tag, state and coherence metadata only. The
- * 128-byte LineData payload lives in a parallel cold array inside
- * CacheArray (reach it through dataOf()), so a set probe walks a few
- * dense ~48-byte records instead of dragging a cache line of payload
- * per way through the host's L1.
- */
+/** One way: tag, state, coherence metadata and the line's payload. */
 struct CacheBlock
 {
     bool valid = false;
@@ -54,6 +48,7 @@ struct CacheBlock
     Addr lineAddr = 0;          ///< full aligned line address (tag)
     std::uint64_t lastUse = 0;  ///< LRU stamp
     BlockMeta meta;
+    LineData data;
 };
 
 /**
@@ -62,10 +57,6 @@ struct CacheBlock
  * Capacity and associativity are fixed at construction; the line
  * size is the global kLineBytes. Lookups do not update LRU (callers
  * call touch() on a real access so probes stay side-effect free).
- *
- * Storage is struct-of-arrays: CacheBlock metadata in one dense
- * row-major vector (the only thing probes touch) and LineData
- * payloads in a parallel vector, indexed identically.
  */
 class CacheArray
 {
@@ -86,18 +77,6 @@ class CacheArray
 
     /** Update the block's LRU stamp. */
     void touch(CacheBlock &blk) { blk.lastUse = ++useStamp_; }
-
-    /** Payload of a block returned by lookup()/victim(). */
-    LineData &
-    dataOf(CacheBlock &blk)
-    {
-        return data_[indexOf(blk)];
-    }
-    const LineData &
-    dataOf(const CacheBlock &blk) const
-    {
-        return data_[indexOf(blk)];
-    }
 
     /**
      * Drop a block. All invalidations go through here (not direct
@@ -139,8 +118,8 @@ class CacheArray
 
     /**
      * Install a line into `blk` (as returned by victim()); resets
-     * metadata, marks valid, touches LRU. The caller is responsible
-     * for writing back the previous contents first.
+     * metadata and payload, marks valid, touches LRU. The caller is
+     * responsible for writing back the previous contents first.
      */
     void insert(CacheBlock &blk, Addr line_addr);
 
@@ -171,17 +150,10 @@ class CacheArray
     }
 
   private:
-    std::size_t
-    indexOf(const CacheBlock &blk) const
-    {
-        return static_cast<std::size_t>(&blk - blocks_.data());
-    }
-
     std::size_t numSets_;
     std::size_t assoc_;
     std::uint64_t useStamp_ = 0;
     std::vector<CacheBlock> blocks_; ///< numSets_ x assoc_, row-major
-    std::vector<LineData> data_;     ///< cold payloads, same indexing
 };
 
 } // namespace gtsc::mem

@@ -67,19 +67,18 @@
 //
 // Reject-generation contract (L1 only, DESIGN.md §7)
 // --------------------------------------------------
-// An L1 that opts in (keepRejectGeneration) keeps a reject
-// generation: a counter that moves at every entry point that can
-// turn a rejected access() into an accepted one, and a record of the
-// counters its latest reject bumped (lastReject). The entry points
-// are an accepted access() (so each replay a tick() accepts),
-// receiveResponse, flush, noteSpinRetry and any verify restore/evict
-// hook; G-TSC also moves it on a TsDomain reset. A reject leaves it
-// where it is. The guarantee: access() of the same Access at the
-// same generation is rejected again and bumps the same counters by
-// the same amounts, whatever the cycle. The SM relies on it to park
-// on such a retry and charge the recorded counters itself instead of
-// calling access(); it is woken through the generation hook, which
-// fires on every move.
+// Every L1 keeps a reject generation: a counter that moves at every
+// entry point that can turn a rejected access() into an accepted
+// one, and a record of the counters its latest reject bumped
+// (lastReject). The entry points are an accepted access() (so each
+// replay a tick() accepts), receiveResponse, flush, noteSpinRetry and
+// any verify restore/evict hook; G-TSC also moves it on a TsDomain
+// reset. A reject leaves it where it is. The guarantee: access() of
+// the same Access at the same generation is rejected again and bumps
+// the same counters by the same amounts, whatever the cycle. The SM
+// relies on it to park on such a retry and charge the recorded
+// counters itself instead of calling access(); it is woken through
+// the generation hook, which fires on every move.
 
 namespace gtsc::obs
 {
@@ -139,8 +138,7 @@ class L1Controller
     void setWakeHook(WakeFn f) { wake_ = std::move(f); }
     void setGenerationHook(GenerationFn f) { generationMoved_ = std::move(f); }
 
-    /** Reject generation (contract above); 0 when this controller
-     *  keeps none, and then no reject is known to repeat. */
+    /** Reject generation (contract above); starts at 1. */
     std::uint64_t rejectGeneration() const { return rejectGen_; }
 
     /** Counters the latest rejected access() bumped. */
@@ -196,16 +194,11 @@ class L1Controller
             wake_(now);
     }
 
-    /** Opt into the reject-generation contract (constructor). */
-    void keepRejectGeneration() { rejectGen_ = 1; }
-
     /** A rejected access may now be accepted: move the generation
-     *  and tell the hook (no-op unless opted in). */
+     *  and tell the hook. */
     void
     moveGeneration()
     {
-        if (rejectGen_ == 0)
-            return;
         ++rejectGen_;
         if (generationMoved_)
             generationMoved_();
@@ -241,7 +234,7 @@ class L1Controller
 
   private:
     GenerationFn generationMoved_;
-    std::uint64_t rejectGen_ = 0;
+    std::uint64_t rejectGen_ = 1;
     RejectCharge lastReject_;
 };
 

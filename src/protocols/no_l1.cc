@@ -16,7 +16,6 @@ NoL1::NoL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     reads_ = &stats_.counter("l1.bypass_reads");
     writes_ = &stats_.counter("l1.bypass_writes");
     rejects_ = &stats_.counter("l1.rejects_mshr_full");
-    keepRejectGeneration();
 }
 
 bool

@@ -27,7 +27,6 @@ NonCohL1::NonCohL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     dataReads_ = &stats_.counter("l1.data_reads");
     dataWrites_ = &stats_.counter("l1.data_writes");
     rejects_ = &stats_.counter("l1.rejects_mshr_full");
-    keepRejectGeneration();
 }
 
 void
@@ -98,8 +97,7 @@ NonCohL1::access(const mem::Access &acc, Cycle now)
         // Write-through, no allocate; keep the local copy updated so
         // the SM's own later reads see its writes.
         if (blk) {
-            array_.dataOf(*blk).mergeMasked(acc.storeData,
-                                            acc.wordMask);
+            blk->data.mergeMasked(acc.storeData, acc.wordMask);
             ++(*dataWrites_);
         }
         pendingStores_.emplace(acc.id) = acc;
@@ -131,8 +129,7 @@ NonCohL1::access(const mem::Access &acc, Cycle now)
                                       obs::EventKind::L1Hit, acc.warp,
                                       0});
         }
-        completeLoad(acc, array_.dataOf(*blk), true,
-                     blk->meta.grant, now);
+        completeLoad(acc, blk->data, true, blk->meta.grant, now);
         moveGeneration();
         return true;
     }
@@ -193,7 +190,7 @@ NonCohL1::receiveResponse(mem::Packet &&pkt, Cycle now)
         }
     }
     if (blk) {
-        array_.dataOf(*blk) = pkt.data;
+        blk->data = pkt.data;
         blk->meta.grant = pkt.gwct;
         array_.touch(*blk);
     }

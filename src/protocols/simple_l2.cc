@@ -52,7 +52,7 @@ SimpleL2::flushAll(Cycle now)
     GTSC_ASSERT(quiescent(), "L2 flush while busy");
     array_.forEachValid([this](mem::CacheBlock &blk) {
         if (blk.dirty)
-            memory_.writeLine(blk.lineAddr, array_.dataOf(blk));
+            memory_.writeLine(blk.lineAddr, blk.data);
         array_.invalidate(blk);
     });
 }
@@ -89,7 +89,7 @@ SimpleL2::serve(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
         resp.part = part_;
         resp.warp = pkt.warp;
         resp.gwct = now; // service cycle (checker bookkeeping)
-        resp.data = array_.dataOf(blk);
+        resp.data = blk.data;
         resp.reqId = pkt.reqId;
         resp.sizeBytes = baselineMessageBytes(mem::MsgType::BusFill, 0);
         respond(std::move(resp), now);
@@ -97,7 +97,7 @@ SimpleL2::serve(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
     }
     GTSC_ASSERT(pkt.type == mem::MsgType::BusWr,
                 "SimpleL2 unexpected packet ", pkt.toString());
-    array_.dataOf(blk).mergeMasked(pkt.data, pkt.wordMask);
+    blk.data.mergeMasked(pkt.data, pkt.wordMask);
     blk.dirty = true;
     ++(*writes_);
     if (trace_) {
@@ -166,12 +166,11 @@ SimpleL2::onDramFill(Addr line, const mem::LineData &data, Cycle now)
         ++(*evictions_);
         if (victim->dirty) {
             ++(*writebacks_);
-            dram_.pushWrite(victim->lineAddr,
-                            array_.dataOf(*victim), 0xffffffffu);
+            dram_.pushWrite(victim->lineAddr, victim->data, 0xffffffffu);
         }
     }
     array_.insert(*victim, line);
-    array_.dataOf(*victim) = data;
+    victim->data = data;
 
     MissEntry *entry = misses_.find(line);
     GTSC_ASSERT(entry, "fill without miss entry");

@@ -28,9 +28,6 @@ TcL1::TcL1(SmId sm, const sim::Config &cfg, sim::StatSet &stats,
     dataReads_ = &stats_.counter("l1.data_reads");
     dataWrites_ = &stats_.counter("l1.data_writes");
     rejects_ = &stats_.counter("l1.rejects_mshr_full");
-    // Lease expiry cannot turn a reject into a hit: a rejected load
-    // found no line or an expired one, and time only expires leases.
-    keepRejectGeneration();
 }
 
 void
@@ -123,8 +120,7 @@ TcL1::access(const mem::Access &acc, Cycle now)
                                       obs::EventKind::L1Hit, acc.warp,
                                       0});
         }
-        completeLoad(acc, array_.dataOf(*blk), true,
-                     blk->meta.grant, now);
+        completeLoad(acc, blk->data, true, blk->meta.grant, now);
         moveGeneration();
         return true;
     }
@@ -196,7 +192,7 @@ TcL1::receiveResponse(mem::Packet &&pkt, Cycle now)
         }
     }
     if (blk) {
-        array_.dataOf(*blk) = pkt.data;
+        blk->data = pkt.data;
         blk->meta.leaseEnd = pkt.leaseEnd;
         blk->meta.grant = pkt.gwct; // grant cycle carried in gwct
         array_.touch(*blk);

@@ -45,6 +45,9 @@ class TcL1 final : public mem::L1Controller
      * scheduling this controller is therefore never armed — it calls
      * no wake hook, and load/store completions reach the SM through
      * its own callbacks (wake contract, mem/controllers.hh).
+     * Lease expiry never moves the reject generation either: it
+     * cannot turn a reject into a hit, because a rejected load found
+     * no line or an expired one, and time only expires leases.
      */
     Cycle
     nextWorkCycle(Cycle now) const override

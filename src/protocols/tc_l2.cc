@@ -57,7 +57,7 @@ TcL2::flushAll(Cycle now)
     GTSC_ASSERT(quiescent(), "TC L2 flush while busy");
     array_.forEachValid([this](mem::CacheBlock &blk) {
         if (blk.dirty)
-            memory_.writeLine(blk.lineAddr, array_.dataOf(blk));
+            memory_.writeLine(blk.lineAddr, blk.data);
         array_.invalidate(blk);
         blk.meta.leaseEnd = 0;
     });
@@ -102,7 +102,7 @@ TcL2::serveRead(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
     resp.warp = pkt.warp;
     resp.leaseEnd = blk.meta.leaseEnd;
     resp.gwct = now; // grant cycle (checker bookkeeping)
-    resp.data = array_.dataOf(blk);
+    resp.data = blk.data;
     resp.reqId = pkt.reqId;
     resp.sizeBytes = tcMessageBytes(mem::MsgType::BusFill, 0);
     respond(std::move(resp), now);
@@ -112,7 +112,7 @@ void
 TcL2::performWrite(mem::CacheBlock &blk, mem::Packet &pkt, Cycle now)
 {
     Cycle gwct = std::max(now, blk.meta.leaseEnd);
-    array_.dataOf(blk).mergeMasked(pkt.data, pkt.wordMask);
+    blk.data.mergeMasked(pkt.data, pkt.wordMask);
     blk.dirty = true;
     array_.touch(blk);
     ++(*writes_);
@@ -217,12 +217,11 @@ TcL2::tryInsert(Addr line, const mem::LineData &data, Cycle now)
         ++(*evictions_);
         if (victim->dirty) {
             ++(*writebacks_);
-            dram_.pushWrite(victim->lineAddr,
-                            array_.dataOf(*victim), 0xffffffffu);
+            dram_.pushWrite(victim->lineAddr, victim->data, 0xffffffffu);
         }
     }
     array_.insert(*victim, line);
-    array_.dataOf(*victim) = data;
+    victim->data = data;
     victim->meta.leaseEnd = 0;
 
     MissEntry *entry = misses_.find(line);

@@ -7,10 +7,8 @@
  * crossbar one for its pending ejection ports, so the per-cycle
  * passes that used to walk byte-per-element state arrays become word
  * loads: wake passes iterate only set bits, pickers are rotate+ctz,
- * and classification counts are popcounts. The masks are *derived*
- * state — the byte arrays stay authoritative for cold queries — and
- * every transition point updates both (the mask↔vector equivalence
- * invariant, DESIGN.md §9).
+ * and classification counts are popcounts. The SM's masks are its
+ * only record of warp state (DESIGN.md §9).
  *
  * Sized once at construction (resize allocates); every operation
  * after that is heap-free, preserving the zero-alloc steady state.

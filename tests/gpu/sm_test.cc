@@ -29,10 +29,6 @@ namespace
 class MockL1 : public mem::L1Controller
 {
   public:
-    /** Opt into the reject-generation contract: accepts move the
-     *  generation, rejects record `tags` and `rejects`. */
-    void keepGeneration() { keepRejectGeneration(); }
-
     /** Something freed the L1 (as a response would). */
     void bump() { moveGeneration(); }
 
@@ -150,9 +146,9 @@ TEST_F(SmFixture, LoadBlocksWarpUntilData)
     tick(3);
     ASSERT_EQ(l1.pendingLoads.size(), 1u);
     EXPECT_FALSE(sm->allWarpsDone());
-    std::uint64_t retired_before = sm->instructionsRetired();
+    std::uint64_t retired_before = stats.get("sm.instructions");
     tick(5);
-    EXPECT_EQ(sm->instructionsRetired(), retired_before)
+    EXPECT_EQ(stats.get("sm.instructions"), retired_before)
         << "warp blocked on the load";
     l1.completeLoad();
     tick(5);
@@ -196,9 +192,9 @@ TEST_F(SmFixture, RcFenceWaitsForStoreAcks)
          {WarpInstr::storeScalar(0x100, 1), WarpInstr::fence(),
           WarpInstr::compute(1), WarpInstr::exit()});
     tick(5);
-    std::uint64_t before = sm->instructionsRetired();
+    std::uint64_t before = stats.get("sm.instructions");
     tick(10);
-    EXPECT_EQ(sm->instructionsRetired(), before)
+    EXPECT_EQ(stats.get("sm.instructions"), before)
         << "fence blocked on the outstanding store";
     l1.completeStore();
     tick(5);
@@ -229,6 +225,7 @@ TEST_F(SmFixture, StructuralRejectRetries)
     tick(5);
     EXPECT_TRUE(l1.pendingLoads.empty());
     l1.rejectAll = false;
+    l1.bump();
     tick(3);
     EXPECT_EQ(l1.pendingLoads.size(), 1u) << "access retried";
     l1.completeLoad();
@@ -379,16 +376,6 @@ TEST_F(SmFixture, HorizonMemBlockedWarpIsEventDriven)
     EXPECT_EQ(sm->nextWorkCycle(now), now + 1);
 }
 
-TEST_F(SmFixture, HorizonStructuralRejectRetriesNextCycle)
-{
-    make(Consistency::RC, {WarpInstr::loadScalar(0x100),
-                           WarpInstr::exit()},
-         1);
-    l1.rejectAll = true;
-    tick(); // submit rejected; access stays in toSubmit
-    EXPECT_EQ(sm->nextWorkCycle(now), now + 1);
-}
-
 TEST_F(SmFixture, FastForwardStatsMatchesPerCycleClassification)
 {
     make(Consistency::RC, {WarpInstr::compute(50), WarpInstr::exit()},
@@ -403,7 +390,6 @@ TEST_F(SmFixture, FastForwardStatsMatchesPerCycleClassification)
 
 TEST_F(SmFixture, DoomedRetryIsChargedWithoutAskingTheL1)
 {
-    l1.keepGeneration();
     make(Consistency::RC, {WarpInstr::loadScalar(0x100),
                            WarpInstr::exit()},
          1);
@@ -429,7 +415,6 @@ TEST_F(SmFixture, DoomedRetryIsChargedWithoutAskingTheL1)
 
 TEST_F(SmFixture, GtoParksOnDoomedRetryUntilComputeWake)
 {
-    l1.keepGeneration();
     // Warp 0 computes until cycle 31; warp 1's load is rejected and,
     // as GTO's greedy warp, takes every slot after that.
     makeWarps(Consistency::RC,
@@ -444,7 +429,6 @@ TEST_F(SmFixture, GtoParksOnDoomedRetryUntilComputeWake)
 
 TEST_F(SmFixture, GtoParkedWithNoOtherWakeWaitsForTheL1)
 {
-    l1.keepGeneration();
     make(Consistency::RC, {WarpInstr::loadScalar(0x100),
                            WarpInstr::exit()},
          1);
@@ -455,7 +439,6 @@ TEST_F(SmFixture, GtoParkedWithNoOtherWakeWaitsForTheL1)
 
 TEST_F(SmFixture, OldestParksOnLowestDoomedRetry)
 {
-    l1.keepGeneration();
     cfg.set("gpu.scheduler", "oldest");
     make(Consistency::RC, {WarpInstr::loadScalar(0x100),
                            WarpInstr::exit()});
@@ -466,7 +449,6 @@ TEST_F(SmFixture, OldestParksOnLowestDoomedRetry)
 
 TEST_F(SmFixture, RoundRobinNeverParks)
 {
-    l1.keepGeneration();
     cfg.set("gpu.scheduler", "rr");
     make(Consistency::RC, {WarpInstr::loadScalar(0x100),
                            WarpInstr::exit()},
@@ -481,7 +463,6 @@ TEST_F(SmFixture, RoundRobinNeverParks)
 
 TEST_F(SmFixture, GenerationMoveReArmsParkedSmAtCurrentCycle)
 {
-    l1.keepGeneration();
     make(Consistency::RC, {WarpInstr::loadScalar(0x100),
                            WarpInstr::exit()},
          1);
@@ -515,7 +496,6 @@ TEST_F(SmFixture, GenerationMoveReArmsParkedSmAtCurrentCycle)
 
 TEST_F(SmFixture, CallbackLeavingRetryDoomedReArmsAtHorizon)
 {
-    l1.keepGeneration();
     l1.rejectLine = 0x100;
     // Warp 0's load is accepted; warp 1's is rejected and parks the
     // SM. Warp 0's completion leaves warp 1 doomed and pinned.
@@ -536,7 +516,6 @@ TEST_F(SmFixture, CallbackLeavingRetryDoomedReArmsAtHorizon)
 
 TEST_F(SmFixture, FastForwardOverParkedSpanMatchesTicking)
 {
-    l1.keepGeneration();
     l1.rejectLine = 0x100;
     // Warp 0 blocks on a fence behind its store; warp 1 parks the SM
     // on its rejected load.

@@ -164,9 +164,11 @@ TEST(CacheArray, InsertResetsMetadata)
     c.insert(*v, line(3));
     v->meta.wts = 99;
     v->dirty = true;
+    v->data.setWord(5, 0xabcd);
     // Re-insert another line into the same block.
     v->valid = false;
     c.insert(*v, line(3));
     EXPECT_EQ(v->meta.wts, 0u);
     EXPECT_FALSE(v->dirty);
+    EXPECT_EQ(v->data.word(5), 0u) << "insert clears the payload";
 }
