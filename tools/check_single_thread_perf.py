@@ -4,7 +4,10 @@
 Usage:
     python3 perfbench/run.py --workload coherent --seed 1 --seconds 5 \
         --trace 0 > PERF_coherent.txt
-    tools/check_single_thread_perf.py PERF_coherent.txt
+    python3 perfbench/run.py --workload coherent --seed 1 --seconds 5 \
+        --trace 1 > PERF_coherent_traced.txt
+    tools/check_single_thread_perf.py PERF_coherent.txt \
+        --traced PERF_coherent_traced.txt
 
 Reads the result line perfbench prints last (see perfbench/README.md)
 and fails (exit 1) when:
@@ -25,6 +28,22 @@ interleaved A/B runs (perfbench/ab.py) for those. It replaces a
 median ratio of this number to that geomean over ten interleaved
 pairs on one 4-vCPU Xeon guest (1.0095; quartiles 0.92 and 1.15).
 
+With --traced, it also reads the result line of a traced run of the
+same workload and seed, and fails unless that run is correct and each
+count in TRACED_COUNTS equals its pinned value. These counts are sums
+over the 24 cells of one pass: they depend on the model and the seed,
+never on the host or the pass count. A change meant only to make the
+simulator faster must leave them alone; `gpu.sm_ticks`,
+`gpu.issue_slots_used` and `noc.ticks` also move when the main loop
+ticks a component it used to skip, which no golden shows. To
+regenerate them after an intended timing-model change (the same
+change regenerates the goldens under tests/integration/goldens/), run
+
+    python3 perfbench/run.py --workload coherent --seed 1 --seconds 5 \
+        --trace 1
+
+and copy the six values from its result line into TRACED_COUNTS.
+
 Stdlib only, no third-party deps.
 """
 
@@ -34,6 +53,16 @@ import sys
 
 #: Simulated cycles per second floor on `throughput_per_s`.
 MIN_THROUGHPUT = 505000
+
+#: Per-pass counts of the traced `coherent` run at seed 1.
+TRACED_COUNTS = {
+    "sim.stats_digest": 137426080732014,
+    "gpu.sm_ticks": 2019990,
+    "gpu.issue_slots_used": 7074072,
+    "noc.ticks": 1984486,
+    "noc.packets": 2843928,
+    "l1.tag_accesses": 7270806,
+}
 
 
 def result_line(path):
@@ -49,10 +78,29 @@ def result_line(path):
     return result if isinstance(result, dict) else None
 
 
+def passed(result):
+    """Print the correctness summary; True when every check passed."""
+    correct = result.get("correct") is True
+    n_failed = result.get("failed", 0)
+    attempted = result.get("attempted", 0)
+    print(f"correct: {correct}, failed: {n_failed}/{attempted}")
+    if not correct or n_failed > 0 or attempted <= 0:
+        print("FAIL: the benchmark's correctness checks did not pass")
+        return False
+    return True
+
+
+def metric(result, name):
+    return result.get("metrics", {}).get(name, {}).get("value")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="stdout of perfbench/run.py "
                         "--workload coherent --trace 0")
+    parser.add_argument("--traced", metavar="REPORT",
+                        help="stdout of perfbench/run.py --workload "
+                        "coherent --seed 1 --trace 1")
     args = parser.parse_args()
 
     result = result_line(args.report)
@@ -60,22 +108,27 @@ def main() -> int:
         print(f"FAIL: no perfbench result line in {args.report}")
         return 1
 
-    failed = False
-    correct = result.get("correct") is True
-    n_failed = result.get("failed", 0)
-    attempted = result.get("attempted", 0)
-    print(f"correct: {correct}, failed: {n_failed}/{attempted}")
-    if not correct or n_failed > 0 or attempted <= 0:
-        print("FAIL: the benchmark's correctness checks did not pass")
-        failed = True
-
-    value = (result.get("metrics", {}).get("throughput_per_s", {})
-             .get("value", 0.0))
+    failed = not passed(result)
+    value = metric(result, "throughput_per_s") or 0.0
     line = f"throughput_per_s: {value:.0f} cycles/s, floor {MIN_THROUGHPUT}"
     if value < MIN_THROUGHPUT:
         line = "FAIL: " + line
         failed = True
     print(line)
+
+    if args.traced:
+        traced = result_line(args.traced)
+        if traced is None:
+            print(f"FAIL: no perfbench result line in {args.traced}")
+            return 1
+        failed |= not passed(traced)
+        for name, want in TRACED_COUNTS.items():
+            got = metric(traced, name)
+            line = f"{name}: {got}, pinned {want}"
+            if got != want:
+                line = "FAIL: " + line
+                failed = True
+            print(line)
     return 1 if failed else 0
 
 
