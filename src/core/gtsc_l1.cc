@@ -114,17 +114,12 @@ GtscL1::flush(Cycle now)
     moveGeneration();
 }
 
-L1VerifyState
-GtscL1::captureVerifyState()
+void
+GtscL1::captureVerifyState(L1VerifyState &s)
 {
-    L1VerifyState s;
-    array_.forEachValid([this, &s](mem::CacheBlock &blk) {
-        VerifyLineState l;
-        l.lineAddr = blk.lineAddr;
-        l.dirty = blk.dirty;
-        l.meta = blk.meta;
-        l.data = blk.data;
-        s.lines.push_back(std::move(l));
+    s.lines.clear();
+    array_.forEachValid([&s](mem::CacheBlock &blk) {
+        s.lines.push_back({blk.lineAddr, blk.dirty, blk.meta, blk.data});
     });
     std::sort(s.lines.begin(), s.lines.end(),
               [](const VerifyLineState &a, const VerifyLineState &b) {
@@ -132,27 +127,28 @@ GtscL1::captureVerifyState()
               });
     s.warpTs = warpTs_;
     s.epoch = epoch_;
+    s.pendingStores.clear();
     pendingStores_.forEach(
         [&s](std::uint64_t id, const PendingStore &ps) {
             s.pendingStores.push_back({id, ps.access, ps.baseWts,
                                        ps.hadBlock});
         });
+    s.storeByLine.clear();
     storeByLine_.forEach([&s](Addr line, std::uint64_t id) {
         s.storeByLine.emplace_back(line, id);
     });
+    s.mshr.clear();
+    s.mshrWaiters.clear();
     mshr_.forEach([&s](const mem::MshrEntry &e) {
-        L1VerifyState::MshrEntryState m;
-        m.lineAddr = e.lineAddr;
-        m.requestSent = e.requestSent;
-        m.outstanding = e.outstanding;
-        m.lockWait = e.lockWait;
-        m.requestWts = e.requestWts;
-        m.waiters = e.waiters;
-        s.mshr.push_back(std::move(m));
+        s.mshr.push_back({e.lineAddr, e.requestSent, e.outstanding,
+                          e.lockWait, e.requestWts,
+                          static_cast<std::uint32_t>(e.waiters.size())});
+        s.mshrWaiters.insert(s.mshrWaiters.end(), e.waiters.begin(),
+                             e.waiters.end());
     });
+    s.replayQueue.clear();
     for (std::size_t i = 0; i < replayQueue_.size(); ++i)
         s.replayQueue.push_back(replayQueue_[i]);
-    return s;
 }
 
 void
@@ -177,6 +173,7 @@ GtscL1::restoreVerifyState(const L1VerifyState &s)
     for (const auto &[line, id] : s.storeByLine)
         storeByLine_.emplace(line) = id;
     mshr_.clear();
+    auto waiter = s.mshrWaiters.begin();
     for (const auto &m : s.mshr) {
         mem::MshrEntry *e = mshr_.alloc(m.lineAddr);
         GTSC_ASSERT(e, "verify restore exceeded MSHR capacity");
@@ -184,7 +181,8 @@ GtscL1::restoreVerifyState(const L1VerifyState &s)
         e->outstanding = m.outstanding;
         e->lockWait = m.lockWait;
         e->requestWts = m.requestWts;
-        e->waiters = m.waiters;
+        e->waiters.assign(waiter, waiter + m.waiterCount);
+        waiter += m.waiterCount;
     }
     replayQueue_.clear();
     for (const mem::Access &a : s.replayQueue)

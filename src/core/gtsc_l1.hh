@@ -77,12 +77,13 @@ class GtscL1 final : public mem::L1Controller
     Ts warpTs(WarpId w) const { return warpTs_[w]; }
 
     /**
-     * Snapshot the complete protocol-visible state (verification
-     * lab). Only meaningful at settled points: no event-queue
-     * callbacks of this controller may be pending (in-flight load
-     * completions hold state outside these structs).
+     * Snapshot the complete protocol-visible state into `s`
+     * (verification lab), reusing its vectors' capacity. Only
+     * meaningful at settled points: no event-queue callbacks of this
+     * controller may be pending (in-flight load completions hold
+     * state outside these structs).
      */
-    L1VerifyState captureVerifyState();
+    void captureVerifyState(L1VerifyState &s);
 
     /**
      * Restore a captured snapshot. Requires that capacity evictions

@@ -351,25 +351,19 @@ GtscL2::onDramFill(Addr line, const mem::LineData &data, Cycle now)
         serveHit(*victim, w, now);
 }
 
-L2VerifyState
-GtscL2::captureVerifyState()
+void
+GtscL2::captureVerifyState(L2VerifyState &s)
 {
     GTSC_ASSERT(quiescent(), "L2 verify capture while busy");
-    L2VerifyState s;
-    array_.forEachValid([this, &s](mem::CacheBlock &blk) {
-        VerifyLineState l;
-        l.lineAddr = blk.lineAddr;
-        l.dirty = blk.dirty;
-        l.meta = blk.meta;
-        l.data = blk.data;
-        s.lines.push_back(std::move(l));
+    s.lines.clear();
+    array_.forEachValid([&s](mem::CacheBlock &blk) {
+        s.lines.push_back({blk.lineAddr, blk.dirty, blk.meta, blk.data});
     });
     std::sort(s.lines.begin(), s.lines.end(),
               [](const VerifyLineState &a, const VerifyLineState &b) {
                   return a.lineAddr < b.lineAddr;
               });
     s.memTs = memTs_;
-    return s;
 }
 
 void

@@ -65,12 +65,13 @@ class GtscL2 final : public mem::L2Controller
     Ts memTs() const { return memTs_; }
 
     /**
-     * Snapshot the complete protocol-visible state (verification
-     * lab). Requires a fully settled controller: service queue and
-     * miss table empty (the harness delivers requests one at a time
-     * and drains them before snapshotting).
+     * Snapshot the complete protocol-visible state into `s`
+     * (verification lab), reusing its vectors' capacity. Requires a
+     * fully settled controller: service queue and miss table empty
+     * (the harness delivers requests one at a time and drains them
+     * before snapshotting).
      */
-    L2VerifyState captureVerifyState();
+    void captureVerifyState(L2VerifyState &s);
 
     /** Restore a captured snapshot (see captureVerifyState). */
     void restoreVerifyState(const L2VerifyState &s);

@@ -13,7 +13,9 @@
  *
  * Capture orders every collection deterministically (sorted by key)
  * so two captures of behaviourally identical states serialize
- * identically.
+ * identically. Capture fills a caller-owned struct, clearing and
+ * refilling each vector, so a reused snapshot stops allocating once
+ * its vectors have grown.
  */
 
 #ifndef GTSC_CORE_GTSC_STATE_HH_
@@ -57,7 +59,8 @@ struct L1VerifyState
         unsigned outstanding = 0;
         bool lockWait = false;
         Ts requestWts = 0;
-        std::vector<mem::Access> waiters;
+        /** Length of this entry's run in `mshrWaiters`. */
+        std::uint32_t waiterCount = 0;
     };
 
     std::vector<VerifyLineState> lines;   ///< sorted by lineAddr
@@ -66,6 +69,10 @@ struct L1VerifyState
     std::vector<PendingStoreState> pendingStores; ///< sorted by id
     std::vector<std::pair<Addr, std::uint64_t>> storeByLine; ///< sorted
     std::vector<MshrEntryState> mshr;     ///< sorted by lineAddr
+    /** Every entry's waiters, one run per entry in `mshr` order, each
+     *  in arrival order: a flat vector keeps its capacity when the
+     *  MSHR's shape changes between captures. */
+    std::vector<mem::Access> mshrWaiters;
     std::vector<mem::Access> replayQueue; ///< in queue order
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/log.hh"
@@ -28,26 +27,30 @@ replayFails(ModelSim &model, const WorldState &root,
             std::vector<std::string> *violations = nullptr)
 {
     WorldState cur = root;
+    WorldState next;
+    std::vector<Action> enabled;
+    std::vector<std::string> found;
     for (const Action &a : path)
     {
-        auto enabled = model.enabledActions(cur);
+        model.enabledActions(cur, enabled);
         if (std::find(enabled.begin(), enabled.end(), a) ==
             enabled.end())
             return false;
-        auto out = model.step(cur, a);
-        if (!out.violations.empty())
+        model.step(cur, a, next, found);
+        if (!found.empty())
         {
             if (wantTerminal)
                 return false;
             if (violations)
-                *violations = std::move(out.violations);
+                *violations = std::move(found);
             return true;
         }
-        cur = std::move(out.state);
+        std::swap(cur, next);
     }
     if (!wantTerminal)
         return false;
-    if (!model.enabledActions(cur).empty())
+    model.enabledActions(cur, enabled);
+    if (!enabled.empty())
         return false;
     auto term = model.checkTerminal(cur);
     if (term.empty())
@@ -66,11 +69,13 @@ buildWitness(ModelSim &model, const WorldState &root,
         return replayFails(model, root, c, wantTerminal);
     });
 
-    // One last replay with a fresh transcript: the report's message
-    // history covers exactly the minimized trace.
-    model.clearTranscript();
+    // One last replay with a transcript: the report's message history
+    // covers exactly the minimized trace.
+    obs::Transcript transcript(64, "");
+    model.setTranscript(&transcript);
     bool fails =
         replayFails(model, root, w.actions, wantTerminal, &w.violations);
+    model.setTranscript(nullptr);
     GTSC_ASSERT(fails, "minimized witness stopped reproducing");
 
     std::ostringstream oss;
@@ -83,7 +88,7 @@ buildWitness(ModelSim &model, const WorldState &root,
         oss << "  " << (i + 1) << ". " << w.actions[i].describe()
             << "\n";
     oss << "message transcript:\n";
-    model.transcript().writeText(oss);
+    transcript.writeText(oss);
     w.report = oss.str();
     return w;
 }
@@ -119,10 +124,15 @@ explore(const sim::Config &cfg)
     else
     {
         CanonicalScratch canon;
-        std::unordered_set<Hash128, Hash128Hasher> visited;
+        VisitedSet visited;
         visited.insert(canonicalHash(root, canon));
         stats.statesVisited = 1;
 
+        // The stack never shrinks: `depth` frames are live, and the
+        // ones above keep their storage for the next descent. A new
+        // state is swapped from the step target into the next frame,
+        // whose old storage becomes the next step target, so a
+        // transition into a known state frees nothing.
         struct Frame
         {
             WorldState state;
@@ -131,54 +141,55 @@ explore(const sim::Config &cfg)
             /** Action that produced this frame (unused on the root). */
             Action via{};
         };
-        std::vector<Frame> stack;
-        stack.push_back(
-            Frame{root, model.enabledActions(root), 0, Action{}});
+        std::vector<Frame> stack(1);
+        stack[0].state = root;
+        model.enabledActions(root, stack[0].actions);
+        std::size_t depth = 1;
+        WorldState target;
+        std::vector<std::string> violations;
 
-        auto currentPath = [&](const Action &last) {
+        auto pathTo = [&](std::size_t frames) {
             std::vector<Action> path;
-            for (std::size_t i = 1; i < stack.size(); ++i)
+            for (std::size_t i = 1; i < frames; ++i)
                 path.push_back(stack[i].via);
-            path.push_back(last);
             return path;
         };
 
-        while (!stack.empty())
+        while (depth > 0)
         {
-            Frame &top = stack.back();
+            Frame &top = stack[depth - 1];
             if (top.actions.empty())
             {
                 ++stats.terminals;
                 if (!model.checkTerminal(top.state).empty())
                 {
-                    std::vector<Action> path;
-                    for (std::size_t i = 1; i < stack.size(); ++i)
-                        path.push_back(stack[i].via);
                     result.witnesses.push_back(buildWitness(
-                        model, root, std::move(path), true));
+                        model, root, pathTo(depth), true));
                     if (result.witnesses.size() >= maxWitnesses)
                         break;
                 }
-                stack.pop_back();
+                --depth;
                 continue;
             }
             if (top.next >= top.actions.size())
             {
-                stack.pop_back();
+                --depth;
                 continue;
             }
             const Action action = top.actions[top.next++];
             ++stats.transitions;
-            auto out = model.step(top.state, action);
-            if (!out.violations.empty())
+            model.step(top.state, action, target, violations);
+            if (!violations.empty())
             {
-                result.witnesses.push_back(buildWitness(
-                    model, root, currentPath(action), false));
+                std::vector<Action> path = pathTo(depth);
+                path.push_back(action);
+                result.witnesses.push_back(
+                    buildWitness(model, root, std::move(path), false));
                 if (result.witnesses.size() >= maxWitnesses)
                     break;
                 continue;
             }
-            if (!visited.insert(canonicalHash(out.state, canon)).second)
+            if (!visited.insert(canonicalHash(target, canon)))
             {
                 ++stats.deduped;
                 continue;
@@ -191,18 +202,19 @@ explore(const sim::Config &cfg)
                 break;
             }
             ++stats.statesVisited;
-            const std::uint64_t depth = stack.size();
-            stats.maxDepth = std::max(stats.maxDepth, depth);
-            if (depth >= maxDepth ||
-                out.state.domain.epoch >= maxEpochs)
+            stats.maxDepth = std::max<std::uint64_t>(stats.maxDepth, depth);
+            if (depth >= maxDepth || target.domain.epoch >= maxEpochs)
             {
                 ++stats.truncated;
                 continue;
             }
-            std::vector<Action> actions =
-                model.enabledActions(out.state);
-            stack.push_back(Frame{std::move(out.state),
-                                  std::move(actions), 0, action});
+            if (depth == stack.size())
+                stack.emplace_back();
+            Frame &child = stack[depth++];
+            std::swap(child.state, target);
+            model.enabledActions(child.state, child.actions);
+            child.next = 0;
+            child.via = action;
         }
     }
 

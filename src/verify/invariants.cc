@@ -204,7 +204,7 @@ checkStateInvariants(const WorldState &w, const InvariantParams &p)
 
         for (const auto &m : l1.mshr)
         {
-            if (m.waiters.empty())
+            if (m.waiterCount == 0)
             {
                 std::ostringstream oss;
                 oss << where << " empty MSHR entry for line "

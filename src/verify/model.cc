@@ -98,13 +98,6 @@ ModelSim::ModelSim(const sim::Config &user_cfg)
         l1s_.push_back(std::move(l1));
     }
     threads_.assign(sms_, ThreadState{});
-    transcript_ = std::make_unique<obs::Transcript>(64, "");
-}
-
-void
-ModelSim::clearTranscript()
-{
-    transcript_ = std::make_unique<obs::Transcript>(64, "");
 }
 
 bool
@@ -139,22 +132,22 @@ ModelSim::settle()
     return settled();
 }
 
-WorldState
-ModelSim::capture()
+void
+ModelSim::capture(WorldState &w)
 {
-    WorldState w;
-    for (auto &l1 : l1s_)
-        w.l1.push_back(l1->captureVerifyState());
-    w.l2 = l2_->captureVerifyState();
+    w.l1.resize(l1s_.size());
+    for (std::size_t sm = 0; sm < l1s_.size(); ++sm)
+        l1s_[sm]->captureVerifyState(w.l1[sm]);
+    l2_->captureVerifyState(w.l2);
     w.domain = domain_.captureVerifyState();
     w.reqs = pendingReqs_;
     w.resps = pendingResps_;
     w.threads = threads_;
+    w.memLines.resize(lines_);
     for (unsigned i = 0; i < lines_; ++i)
-        w.memLines.push_back(memory_.readLine(lineAddr(i)));
-    w.oracle = oracle_.capture();
+        w.memLines[i] = memory_.readLine(lineAddr(i));
+    w.oracle = oracle_.state();
     w.nextAccessId = nextAccessId_;
-    return w;
 }
 
 void
@@ -176,10 +169,11 @@ ModelSim::restore(const WorldState &w)
     nextAccessId_ = w.nextAccessId;
 }
 
-std::vector<Action>
-ModelSim::enabledActions(const WorldState &w) const
+void
+ModelSim::enabledActions(const WorldState &w,
+                         std::vector<Action> &out) const
 {
-    std::vector<Action> out;
+    out.clear();
     auto hasLine = [](const std::vector<core::VerifyLineState> &lines,
                       Addr addr) {
         for (const auto &l : lines)
@@ -242,7 +236,6 @@ ModelSim::enabledActions(const WorldState &w) const
                 out.push_back({Action::Kind::EvictL2, 0, line});
         }
     }
-    return out;
 }
 
 void
@@ -290,10 +283,13 @@ ModelSim::applyAction(const Action &action)
                     "deliver action with no held message");
         mem::Packet pkt = std::move(*it);
         held.erase(it);
-        transcript_->log(obs::TranscriptEntry{
-            now_, pkt.lineAddr, mem::msgTypeName(pkt.type),
-            req ? pkt.src : pkt.part, req ? pkt.part : pkt.src,
-            pkt.warp, !req, pkt.wts, pkt.rts});
+        if (transcript_)
+        {
+            transcript_->log(obs::TranscriptEntry{
+                now_, pkt.lineAddr, mem::msgTypeName(pkt.type),
+                req ? pkt.src : pkt.part, req ? pkt.part : pkt.src,
+                pkt.warp, !req, pkt.wts, pkt.rts});
+        }
         if (req)
             l2_->receiveRequest(std::move(pkt), now_);
         else
@@ -320,10 +316,10 @@ ModelSim::applyAction(const Action &action)
     }
 }
 
-ModelSim::StepOutcome
+ModelSim::InitOutcome
 ModelSim::init()
 {
-    StepOutcome o;
+    InitOutcome o;
     bool ok = settle();
     if (!ok)
     {
@@ -331,34 +327,34 @@ ModelSim::init()
             "Deadlock: initial state failed to settle");
         return o;
     }
-    o.state = capture();
+    capture(o.state);
     auto sv = checkStateInvariants(o.state, invariantParams());
     o.violations.insert(o.violations.end(), sv.begin(), sv.end());
     return o;
 }
 
-ModelSim::StepOutcome
-ModelSim::step(const WorldState &from, const Action &action)
+void
+ModelSim::step(const WorldState &from, const Action &action,
+               WorldState &out, std::vector<std::string> &violations)
 {
+    GTSC_ASSERT(&out != &from, "step into its own source state");
+    violations.clear();
     restore(from);
     applyAction(action);
-    StepOutcome o;
     if (!settle())
     {
-        o.state = from;
-        o.violations.push_back(
+        violations.push_back(
             "Deadlock: no settled state within " +
             std::to_string(settleCap_) + " cycles after '" +
             action.describe() + "'");
-        return o;
+        return;
     }
-    o.violations = oracle_.drainViolations();
-    o.state = capture();
-    auto sv = checkStateInvariants(o.state, invariantParams());
-    o.violations.insert(o.violations.end(), sv.begin(), sv.end());
-    auto tv = checkTransitionInvariants(from, o.state);
-    o.violations.insert(o.violations.end(), tv.begin(), tv.end());
-    return o;
+    oracle_.drainViolations(violations);
+    capture(out);
+    auto sv = checkStateInvariants(out, invariantParams());
+    violations.insert(violations.end(), sv.begin(), sv.end());
+    auto tv = checkTransitionInvariants(from, out);
+    violations.insert(violations.end(), tv.begin(), tv.end());
 }
 
 std::vector<std::string>

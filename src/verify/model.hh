@@ -84,25 +84,32 @@ class ModelSim
         return InvariantParams{domain_.tsMax(), domain_.lease()};
     }
 
-    /** Result of settling after one transition. */
-    struct StepOutcome
+    /** The settled root state and its checks. */
+    struct InitOutcome
     {
         WorldState state;
-        /** Oracle + state-invariant + transition + deadlock reports. */
+        /** State-invariant and deadlock reports. */
         std::vector<std::string> violations;
     };
 
     /** Settle the freshly constructed machine and capture the root. */
-    StepOutcome init();
+    InitOutcome init();
 
     /**
      * Restore `from`, apply `action` (which must be enabled in
-     * `from`), settle, capture and check. The heart of the DFS.
+     * `from`), settle, capture into `out` and check: the heart of the
+     * DFS. `violations` is cleared, then gets the oracle,
+     * state-invariant, transition and deadlock reports. On a deadlock
+     * `out` is untouched. `out` and `violations` keep their capacity,
+     * so a transition into reused storage stops allocating once it
+     * has grown.
      */
-    StepOutcome step(const WorldState &from, const Action &action);
+    void step(const WorldState &from, const Action &action,
+              WorldState &out, std::vector<std::string> &violations);
 
-    /** Transitions enabled in a settled state. Deterministic order. */
-    std::vector<Action> enabledActions(const WorldState &w) const;
+    /** Replace `out` with the transitions enabled in a settled state,
+     *  in a deterministic order. */
+    void enabledActions(const WorldState &w, std::vector<Action> &out) const;
 
     /**
      * A settled state is terminal when no actions remain. It is a
@@ -112,14 +119,15 @@ class ModelSim
      */
     std::vector<std::string> checkTerminal(const WorldState &w) const;
 
-    /** Message-delivery transcript (PR-3 obs format), for witnesses. */
-    const obs::Transcript &transcript() const { return *transcript_; }
+    /**
+     * Log every message delivery into `t` (obs::Transcript format)
+     * until the next call; nullptr stops logging. The search logs
+     * nothing: a witness replay sets a transcript of its own.
+     */
+    void setTranscript(obs::Transcript *t) { transcript_ = t; }
 
-    /** Start a fresh transcript (witness replay wants only its own
-     *  message history). */
-    void clearTranscript();
-
-    WorldState capture();
+    /** Capture the settled machine into `w`, reusing its storage. */
+    void capture(WorldState &w);
     void restore(const WorldState &w);
 
   private:
@@ -137,7 +145,7 @@ class ModelSim
     std::unique_ptr<mem::DramChannel> dram_;
     std::unique_ptr<core::GtscL2> l2_;
     std::vector<std::unique_ptr<core::GtscL1>> l1s_;
-    std::unique_ptr<obs::Transcript> transcript_;
+    obs::Transcript *transcript_ = nullptr;
 
     std::vector<mem::Packet> pendingReqs_;
     std::vector<mem::Packet> pendingResps_;

@@ -1,5 +1,6 @@
 #include "verify/oracle.hh"
 
+#include <algorithm>
 #include <sstream>
 
 namespace gtsc::verify
@@ -16,6 +17,22 @@ hex(Addr a)
     return oss.str();
 }
 
+/** Orders versions by word address (the runs' sort key). */
+struct ByAddr
+{
+    bool
+    operator()(const VersionOracle::Version &v, Addr a) const
+    {
+        return v.addr < a;
+    }
+
+    bool
+    operator()(Addr a, const VersionOracle::Version &v) const
+    {
+        return a < v.addr;
+    }
+};
+
 } // namespace
 
 void
@@ -23,18 +40,20 @@ VersionOracle::onStoreTs(Addr word_addr, std::uint32_t epoch, Ts wts,
                          std::uint32_t value, SmId sm, WarpId warp)
 {
     (void)warp;
-    auto &hist = state_.words[word_addr];
-    if (!hist.empty() && hist.back().epoch == epoch &&
-        wts <= hist.back().wts)
+    auto &vs = state_.versions;
+    // Appending to the word's run: insert after its last version.
+    auto end = std::upper_bound(vs.begin(), vs.end(), word_addr, ByAddr{});
+    if (end != vs.begin() && end[-1].addr == word_addr &&
+        end[-1].epoch == epoch && wts <= end[-1].wts)
     {
         std::ostringstream oss;
         oss << "StoreWtsMonotone: store by sm" << sm << " at word "
             << hex(word_addr) << " epoch " << epoch << " wts " << wts
             << " value " << value << " not after previous version wts "
-            << hist.back().wts << " value " << hist.back().value;
+            << end[-1].wts << " value " << end[-1].value;
         violations_.push_back(oss.str());
     }
-    hist.push_back(Version{epoch, wts, value});
+    vs.insert(end, Version{word_addr, wts, epoch, value});
 }
 
 void
@@ -49,24 +68,21 @@ VersionOracle::onLoadTs(Addr word_addr, std::uint32_t epoch, Ts ts,
     if (epoch < state_.epoch)
         return;
 
-    auto it = state_.words.find(word_addr);
-    if (it == state_.words.end() || it->second.empty())
-    {
-        // Never stored: the load must see the initial value the
-        // model wrote to backing memory, which the oracle does not
-        // track — nothing to check.
-        return;
-    }
-    const auto &hist = it->second;
+    // A word never stored has an empty run: the load must see the
+    // initial value the model wrote to backing memory, which the
+    // oracle does not track — nothing to check.
+    const auto [first, last] = std::equal_range(
+        state_.versions.begin(), state_.versions.end(), word_addr,
+        ByAddr{});
     // The version in force at logical time ts: the last one with
     // wts <= ts. Everything before the first version is the initial
     // memory value, which the oracle does not track.
     const Version *current = nullptr;
-    for (const Version &v : hist)
+    for (auto v = first; v != last; ++v)
     {
-        if (v.epoch == epoch && v.wts <= ts)
-            current = &v;
-        if (v.epoch == epoch && v.wts > ts)
+        if (v->epoch == epoch && v->wts <= ts)
+            current = &*v;
+        if (v->epoch == epoch && v->wts > ts)
             break;
     }
     if (!current)
@@ -86,16 +102,18 @@ void
 VersionOracle::onEpochReset(std::uint32_t new_epoch)
 {
     state_.epoch = new_epoch;
-    for (auto &[addr, hist] : state_.words)
+    // Keep the last version of each run, in place. The surviving
+    // value re-enters the new epoch as the base version: L2 rewinds
+    // the line to wts=1 keeping its data.
+    auto &vs = state_.versions;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < vs.size(); ++i)
     {
-        if (hist.empty())
+        if (i + 1 < vs.size() && vs[i + 1].addr == vs[i].addr)
             continue;
-        Version last = hist.back();
-        hist.clear();
-        // The surviving value re-enters the new epoch as the base
-        // version: L2 rewinds the line to wts=1 keeping its data.
-        hist.push_back(Version{new_epoch, 0, last.value});
+        vs[kept++] = Version{vs[i].addr, 0, new_epoch, vs[i].value};
     }
+    vs.resize(kept);
 }
 
 } // namespace gtsc::verify

@@ -20,7 +20,6 @@
 #define GTSC_VERIFY_ORACLE_HH_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -33,31 +32,30 @@ namespace gtsc::verify
 class VersionOracle final : public mem::CoherenceProbe
 {
   public:
+    /** One committed store to one word (24 bytes: no padding). */
     struct Version
     {
-        std::uint32_t epoch = 0;
+        Addr addr = 0;
         Ts wts = 0;
+        std::uint32_t epoch = 0;
         std::uint32_t value = 0;
 
-        bool
-        operator==(const Version &o) const
-        {
-            return epoch == o.epoch && wts == o.wts && value == o.value;
-        }
+        bool operator==(const Version &) const = default;
     };
 
     /** Whole-oracle snapshot (a value: copyable, comparable). */
     struct State
     {
         std::uint32_t epoch = 0;
-        /** Per-word append-ordered version history. */
-        std::map<Addr, std::vector<Version>> words;
+        /**
+         * Every word's version history, sorted by word address; each
+         * word's run is contiguous and in append order. One flat
+         * vector, so capture and restore are one assignment that
+         * reuses the destination's capacity.
+         */
+        std::vector<Version> versions;
 
-        bool
-        operator==(const State &o) const
-        {
-            return epoch == o.epoch && words == o.words;
-        }
+        bool operator==(const State &) const = default;
     };
 
     // --- CoherenceProbe ---
@@ -82,19 +80,18 @@ class VersionOracle final : public mem::CoherenceProbe
      */
     void onEpochReset(std::uint32_t new_epoch) override;
 
-    State capture() const { return state_; }
+    const State &state() const { return state_; }
     void restore(const State &s) { state_ = s; }
 
-    /** Violations recorded since the last drain (messages). */
-    std::vector<std::string>
-    drainViolations()
+    /** Move the violations recorded since the last drain (messages)
+     *  to the end of `out`. */
+    void
+    drainViolations(std::vector<std::string> &out)
     {
-        std::vector<std::string> out;
-        out.swap(violations_);
-        return out;
+        for (auto &v : violations_)
+            out.push_back(std::move(v));
+        violations_.clear();
     }
-
-    bool hasViolations() const { return !violations_.empty(); }
 
   private:
     State state_;

@@ -64,6 +64,13 @@ struct ByteSink
         for (int i = 0; i < 8; ++i)
             u8(static_cast<std::uint8_t>(v >> (8 * i)));
     }
+
+    void
+    line(const mem::LineData &d)
+    {
+        for (unsigned i = 0; i < mem::kWordsPerLine; ++i)
+            u32(d.word(i));
+    }
 };
 
 constexpr std::uint64_t
@@ -88,9 +95,12 @@ fmix64(std::uint64_t k)
  * Word sink (canonicalHash): every field, whatever its width, is one
  * 64-bit word fed to two independent lanes — xor-rotate-multiply and
  * add-rotate-multiply with different constants, each a bijection of
- * the lane for a fixed word. The finish is a two-round Feistel over
- * fmix64, so the 128-bit result is a bijection of the lane pair in
- * which every output bit depends on every lane bit.
+ * the lane for a fixed word. The one exception is a line's data,
+ * whose 32 words go in pairs, two to a hash word: a line always has
+ * 32 words, so the word stream is still an injective function of the
+ * key. The finish is a two-round Feistel over fmix64, so the 128-bit
+ * result is a bijection of the lane pair in which every output bit
+ * depends on every lane bit.
  */
 class WordHasher
 {
@@ -98,6 +108,13 @@ class WordHasher
     void u8(std::uint8_t v) { word(v); }
     void u32(std::uint32_t v) { word(v); }
     void u64(std::uint64_t v) { word(v); }
+
+    void
+    line(const mem::LineData &d)
+    {
+        for (unsigned i = 0; i < mem::kWordsPerLine; i += 2)
+            word(d.word(i) | std::uint64_t{d.word(i + 1)} << 32);
+    }
 
     Hash128
     finish() const
@@ -175,8 +192,7 @@ putLine(Sink &s, const core::VerifyLineState &l)
     s.u64(l.meta.rts);
     s.u32(l.meta.epoch);
     s.u8(l.meta.renewStreak);
-    for (unsigned w = 0; w < mem::kWordsPerLine; ++w)
-        s.u32(l.data.word(w));
+    s.line(l.data);
 }
 
 template <typename Sink>
@@ -214,10 +230,7 @@ putPacket(Sink &s, const mem::Packet &p, const IdMap &ids)
     s.u8(p.tsReset ? 1 : 0);
     s.u32(p.wordMask);
     if (mem::carriesData(p.type))
-    {
-        for (unsigned w = 0; w < mem::kWordsPerLine; ++w)
-            s.u32(p.data.word(w));
-    }
+        s.line(p.data);
     s.u64(ids[p.reqId]);
 }
 
@@ -261,9 +274,8 @@ serialize(Sink &s, const WorldState &w, CanonicalScratch &scratch)
         }
         for (const auto &[line, id] : l1.storeByLine)
             ids.note(id);
-        for (const auto &m : l1.mshr)
-            for (const auto &a : m.waiters)
-                ids.note(a.id);
+        for (const auto &a : l1.mshrWaiters)
+            ids.note(a.id);
         for (const auto &a : l1.replayQueue)
             ids.note(a.id);
     }
@@ -298,6 +310,7 @@ serialize(Sink &s, const WorldState &w, CanonicalScratch &scratch)
             s.u64(ids[id]);
         }
         s.u32(static_cast<std::uint32_t>(l1.mshr.size()));
+        const mem::Access *waiter = l1.mshrWaiters.data();
         for (const auto &m : l1.mshr)
         {
             s.u64(m.lineAddr);
@@ -305,9 +318,9 @@ serialize(Sink &s, const WorldState &w, CanonicalScratch &scratch)
             s.u32(m.outstanding);
             s.u8(m.lockWait ? 1 : 0);
             s.u64(m.requestWts);
-            s.u32(static_cast<std::uint32_t>(m.waiters.size()));
-            for (const auto &a : m.waiters)
-                putAccess(s, a, ids);
+            s.u32(m.waiterCount);
+            for (std::uint32_t i = 0; i < m.waiterCount; ++i)
+                putAccess(s, *waiter++, ids);
         }
         s.u32(static_cast<std::uint32_t>(l1.replayQueue.size()));
         for (const auto &a : l1.replayQueue)
@@ -333,20 +346,27 @@ serialize(Sink &s, const WorldState &w, CanonicalScratch &scratch)
 
     s.u32(static_cast<std::uint32_t>(w.memLines.size()));
     for (const auto &d : w.memLines)
-        for (unsigned i = 0; i < mem::kWordsPerLine; ++i)
-            s.u32(d.word(i));
+        s.line(d);
 
+    // The oracle's word count, then each word's run.
+    const auto &vs = w.oracle.versions;
     s.u32(w.oracle.epoch);
-    s.u32(static_cast<std::uint32_t>(w.oracle.words.size()));
-    for (const auto &[addr, hist] : w.oracle.words)
+    std::uint32_t words = 0;
+    for (std::size_t i = 0; i < vs.size(); ++i)
+        words += i == 0 || vs[i].addr != vs[i - 1].addr;
+    s.u32(words);
+    for (std::size_t i = 0; i < vs.size();)
     {
-        s.u64(addr);
-        s.u32(static_cast<std::uint32_t>(hist.size()));
-        for (const auto &v : hist)
+        std::size_t end = i + 1;
+        while (end < vs.size() && vs[end].addr == vs[i].addr)
+            ++end;
+        s.u64(vs[i].addr);
+        s.u32(static_cast<std::uint32_t>(end - i));
+        for (; i < end; ++i)
         {
-            s.u32(v.epoch);
-            s.u64(v.wts);
-            s.u32(v.value);
+            s.u32(vs[i].epoch);
+            s.u64(vs[i].wts);
+            s.u32(vs[i].value);
         }
     }
 }
@@ -375,6 +395,58 @@ canonicalHash(const WorldState &w)
 {
     CanonicalScratch scratch;
     return canonicalHash(w, scratch);
+}
+
+VisitedSet::VisitedSet(std::size_t capacity)
+{
+    std::size_t n = 16;
+    while (n < capacity)
+        n *= 2;
+    slots_.resize(n);
+}
+
+std::size_t
+VisitedSet::probe(const Hash128 &h) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = h.lo & mask;
+    while (!(slots_[i] == h) && !(slots_[i] == Hash128{}))
+        i = (i + 1) & mask;
+    return i;
+}
+
+bool
+VisitedSet::insert(const Hash128 &h)
+{
+    if (h == Hash128{})
+    {
+        const bool added = !hasZero_;
+        hasZero_ = true;
+        return added;
+    }
+    std::size_t i = probe(h);
+    if (slots_[i] == h)
+        return false;
+    if ((used_ + 1) * 4 > slots_.size() * 3)
+    {
+        grow();
+        i = probe(h);
+    }
+    slots_[i] = h;
+    ++used_;
+    return true;
+}
+
+void
+VisitedSet::grow()
+{
+    std::vector<Hash128> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Hash128 &h : old)
+    {
+        if (!(h == Hash128{}))
+            slots_[probe(h)] = h;
+    }
 }
 
 } // namespace gtsc::verify

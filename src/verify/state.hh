@@ -19,6 +19,7 @@
 #ifndef GTSC_VERIFY_STATE_HH_
 #define GTSC_VERIFY_STATE_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -128,13 +129,33 @@ Hash128 canonicalHash(const WorldState &w, CanonicalScratch &scratch);
 /** One-off canonicalHash() with its own scratch. */
 Hash128 canonicalHash(const WorldState &w);
 
-struct Hash128Hasher
+/**
+ * The explorer's visited set: canonical-state hashes in one
+ * open-addressing table, 16 bytes a slot and no node per member.
+ * Linear probing from `lo` over a power-of-two capacity; an all-zero
+ * slot is empty, and a flag records a real all-zero hash. The table
+ * doubles before an insert would take its load past 3/4.
+ */
+class VisitedSet
 {
-    std::size_t
-    operator()(const Hash128 &h) const
-    {
-        return static_cast<std::size_t>(h.lo ^ (h.hi * 0x9e3779b97f4a7c15ULL));
-    }
+  public:
+    /** `capacity` slots, rounded up to a power of two (at least 16). */
+    explicit VisitedSet(std::size_t capacity = 1024);
+
+    /** Add `h`; false if it was already a member. */
+    bool insert(const Hash128 &h);
+
+    std::size_t size() const { return used_ + (hasZero_ ? 1 : 0); }
+    std::size_t capacity() const { return slots_.size(); }
+
+  private:
+    /** The slot holding `h`, or the empty slot where it belongs. */
+    std::size_t probe(const Hash128 &h) const;
+    void grow();
+
+    std::vector<Hash128> slots_;
+    std::size_t used_ = 0; ///< members in slots_ (all but the zero hash)
+    bool hasZero_ = false;
 };
 
 } // namespace gtsc::verify

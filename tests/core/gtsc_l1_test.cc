@@ -410,7 +410,8 @@ TEST_F(GtscL1Fixture, EveryAcceptingEntryPointMovesRejectGeneration)
 
     l1->noteSpinRetry(0, 0x10000);
     EXPECT_TRUE(moved()) << "spin retry";
-    core::L1VerifyState snap = l1->captureVerifyState();
+    core::L1VerifyState snap;
+    l1->captureVerifyState(snap);
     l1->restoreVerifyState(snap);
     EXPECT_TRUE(moved()) << "verify restore";
     EXPECT_TRUE(l1->verifyEvictLine(0x10080));

@@ -1,8 +1,8 @@
 /**
- * Zero-alloc check path: once its scratch has grown, the explorer's
- * per-transition work besides capture/restore — hashing the
- * canonical state and running both invariant checks on a clean
- * state pair — makes no heap allocation.
+ * Zero-alloc transitions: once its storage has grown, the explorer's
+ * per-transition work — restore, settle and capture into a reused
+ * state, hashing the canonical state, a visited-set insert and both
+ * invariant checks on a clean state pair — makes no heap allocation.
  *
  * Global operator new/delete are replaced with counting versions for
  * this binary; each test warms up, then asserts the counter does not
@@ -15,6 +15,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "verify/invariants.hh"
 #include "verify/model.hh"
@@ -30,7 +33,7 @@ std::atomic<std::uint64_t> g_allocs{0};
 
 } // namespace
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -39,31 +42,31 @@ operator new(std::size_t n)
     throw std::bad_alloc{};
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     return ::operator new(n);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -91,21 +94,20 @@ struct BusyPair
     {
         cfg.set("verify.consistency", "rc");
         model = std::make_unique<ModelSim>(cfg);
-        WorldState w = model->init().state;
+        after = model->init().state;
         const Action path[] = {
             {Action::Kind::IssueStore, 0, 0},
             {Action::Kind::IssueLoad, 0, 1},
             {Action::Kind::IssueLoad, 1, 1},
             {Action::Kind::DeliverReq, 1, 0},
         };
+        std::vector<std::string> violations;
         for (const Action &a : path)
         {
-            auto out = model->step(w, a);
-            EXPECT_TRUE(out.violations.empty()) << a.describe();
-            before = std::move(w);
-            w = std::move(out.state);
+            std::swap(before, after);
+            model->step(before, a, after, violations);
+            EXPECT_TRUE(violations.empty()) << a.describe();
         }
-        after = std::move(w);
     }
 };
 
@@ -120,8 +122,7 @@ TEST(VerifyCheckPathAlloc, CanonicalHashMakesNoAllocation)
     ASSERT_FALSE(w.l1[0].pendingStores.empty());
     bool waiters = false;
     for (const auto &l1 : w.l1)
-        for (const auto &m : l1.mshr)
-            waiters |= !m.waiters.empty();
+        waiters |= !l1.mshrWaiters.empty();
     ASSERT_TRUE(waiters);
 
     CanonicalScratch scratch;
@@ -152,4 +153,46 @@ TEST(VerifyCheckPathAlloc, CleanInvariantChecksMakeNoAllocation)
     const std::uint64_t allocs = g_allocs.load() - start;
     EXPECT_TRUE(clean);
     EXPECT_EQ(allocs, 0u);
+}
+
+TEST(VerifyCheckPathAlloc, TransitionMakesNoAllocation)
+{
+    // Every enabled action of both states, as the explorer takes it:
+    // step() into a reused state, hash it, insert the hash.
+    BusyPair s;
+    WorldState out;
+    std::vector<Action> actions;
+    std::vector<std::string> violations;
+    CanonicalScratch scratch;
+    auto transitions = [&](VisitedSet &visited) {
+        bool clean = true;
+        for (const WorldState *from : {&s.before, &s.after})
+        {
+            s.model->enabledActions(*from, actions);
+            for (const Action &a : actions)
+            {
+                s.model->step(*from, a, out, violations);
+                clean &= violations.empty();
+                visited.insert(canonicalHash(out, scratch));
+            }
+        }
+        return clean;
+    };
+    VisitedSet warm;
+    ASSERT_TRUE(transitions(warm));
+    ASSERT_GT(warm.size(), 10u);
+
+    // The first measured pass inserts every successor anew, the rest
+    // find them all; the table is large enough never to grow.
+    VisitedSet visited(1u << 12);
+    const std::size_t capacity = visited.capacity();
+    const std::uint64_t start = g_allocs.load();
+    bool clean = true;
+    for (int i = 0; i < kRepeats; ++i)
+        clean &= transitions(visited);
+    const std::uint64_t allocs = g_allocs.load() - start;
+    EXPECT_TRUE(clean);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(visited.size(), warm.size());
+    EXPECT_EQ(visited.capacity(), capacity);
 }

@@ -163,8 +163,9 @@ TEST(VerifyInvariants, DeadMshrEntryTrips)
     entry.requestSent = true;
     entry.outstanding = 0; // expects no response: lost message
     entry.lockWait = false;
-    entry.waiters.emplace_back();
+    entry.waiterCount = 1;
     bad.l1[0].mshr.push_back(entry);
+    bad.l1[0].mshrWaiters.emplace_back();
     EXPECT_TRUE(
         Fixture::has(checkStateInvariants(bad, f.params), "MshrLive"));
 }

@@ -4,7 +4,9 @@
  * (absolute request ids, held-message arrival order across SMs) must
  * key identically; states that differ in behaviour must not. Every
  * relation on the reference key canonicalKey() must also hold on
- * canonicalHash(), which is what the explorer dedups on.
+ * canonicalHash(), which is what the explorer dedups on, and the
+ * visited set must keep every hash inserted into it, distinct from
+ * every other.
  */
 
 #include <gtest/gtest.h>
@@ -161,11 +163,15 @@ TEST(VerifyState, HashQuotientMatchesKeyQuotient)
     CanonicalScratch scratch;
     const Hash128 root = canonicalHash(queue.front(), scratch);
     hashes.emplace(root.lo, root.hi);
+    std::vector<Action> actions;
+    std::vector<std::string> violations;
     for (std::size_t i = 0; i < queue.size() && queue.size() < 3000; ++i)
     {
-        for (const Action &act : model.enabledActions(queue[i]))
+        model.enabledActions(queue[i], actions);
+        for (const Action &act : actions)
         {
-            WorldState s = model.step(queue[i], act).state;
+            WorldState s;
+            model.step(queue[i], act, s, violations);
             const Hash128 h = canonicalHash(s, scratch);
             const bool newKey = keys.insert(canonicalKey(s)).second;
             const bool newHash = hashes.emplace(h.lo, h.hi).second;
@@ -176,6 +182,67 @@ TEST(VerifyState, HashQuotientMatchesKeyQuotient)
     }
     EXPECT_GT(keys.size(), 1000u);
     EXPECT_EQ(keys.size(), hashes.size());
+}
+
+TEST(VerifyVisitedSet, ZeroHashInsertsOnce)
+{
+    VisitedSet set;
+    EXPECT_TRUE(set.insert(Hash128{}));
+    EXPECT_FALSE(set.insert(Hash128{}));
+    EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(VerifyVisitedSet, ReinsertReturnsFalse)
+{
+    VisitedSet set;
+    EXPECT_TRUE(set.insert(Hash128{0x1234, 0x5678}));
+    EXPECT_FALSE(set.insert(Hash128{0x1234, 0x5678}));
+    EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(VerifyVisitedSet, EqualLoDifferentHiAreDistinct)
+{
+    VisitedSet set;
+    EXPECT_TRUE(set.insert(Hash128{7, 1}));
+    EXPECT_TRUE(set.insert(Hash128{7, 2}));
+    EXPECT_TRUE(set.insert(Hash128{0, 3})); // zero lo, not the empty slot
+    EXPECT_FALSE(set.insert(Hash128{7, 1}));
+    EXPECT_FALSE(set.insert(Hash128{7, 2}));
+    EXPECT_FALSE(set.insert(Hash128{0, 3}));
+    EXPECT_EQ(set.size(), 3u);
+}
+
+TEST(VerifyVisitedSet, EveryMemberSurvivesGrowth)
+{
+    // 100,000 pseudo-random hashes, each `lo` shared by two of them,
+    // through the doublings of a 16-slot table.
+    VisitedSet set(16);
+    std::uint64_t x = 1;
+    auto next = [&x] { // splitmix64
+        std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    };
+    std::vector<Hash128> members;
+    for (int i = 0; i < 50000; ++i)
+    {
+        const std::uint64_t lo = next();
+        members.push_back(Hash128{lo, next()});
+        members.push_back(Hash128{lo, next()});
+    }
+    bool added = true;
+    for (const Hash128 &h : members)
+        added &= set.insert(h);
+    EXPECT_TRUE(added);
+    EXPECT_EQ(set.size(), members.size());
+    EXPECT_GE(set.capacity(), 1u << 17);
+    EXPECT_LE(set.size() * 4, set.capacity() * 3);
+    bool found = true;
+    for (const Hash128 &h : members)
+        found &= !set.insert(h);
+    EXPECT_TRUE(found);
+    EXPECT_EQ(set.size(), members.size());
 }
 
 TEST(VerifyShrink, DdminIsOneMinimal)
