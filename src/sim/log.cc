@@ -5,21 +5,10 @@
 namespace gtsc::sim
 {
 
-namespace
-{
-int gLogLevel = 0;
-} // namespace
-
-int
-logLevel()
-{
-    return gLogLevel;
-}
-
 void
 setLogLevel(int level)
 {
-    gLogLevel = level;
+    detail::gLogLevel = level;
 }
 
 namespace detail

@@ -16,14 +16,12 @@
 namespace gtsc::sim
 {
 
-/** Global verbosity level: 0 silent, 1 inform, 2 debug trace. */
-int logLevel();
-
-/** Set the global verbosity level. */
-void setLogLevel(int level);
-
 namespace detail
 {
+
+/** The level logLevel() reads: inline, so a disabled GTSC_DEBUG or
+ *  GTSC_INFORM costs one load and a branch, not a call. */
+inline int gLogLevel = 0;
 
 [[noreturn]] void
 failImpl(const char *kind, const char *file, int line,
@@ -43,6 +41,16 @@ concat(Args &&...args)
 }
 
 } // namespace detail
+
+/** Global verbosity level: 0 silent, 1 inform, 2 debug trace. */
+inline int
+logLevel()
+{
+    return detail::gLogLevel;
+}
+
+/** Set the global verbosity level. */
+void setLogLevel(int level);
 
 /** Abort: an internal simulator bug (invariant broken). */
 #define GTSC_PANIC(...)                                                 \
